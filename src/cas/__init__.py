@@ -7,15 +7,14 @@ dual-functional waveform schemes.
 
 from .channel import (CommChannel, WaveformCovariance, alphas_from_channel,
                       covariance_from_alloc, exact_waveform, generate_rayleigh,
-                      mmse_matrix_oracle, mmse_monte_carlo,
-                      mmse_monte_carlo_stats, sample_waveform)
+                      mmse_matrix_oracle, mmse_monte_carlo_stats,
+                      sample_waveform)
 from .dual import (INIT_COMMUNICATION, INIT_SENSING, DualSolution,
                    capacity_gradient, evaluate_dual, gradient_step,
                    optimize_dual, optimize_dual_best)
 from .experiment import (DEFAULTS, ConfigError, ExperimentConfig, SweepRecord,
-                         compare_summary, config_from_mapping, collect_sweep,
-                         emit_trace, parse_config_file, run_point, run_sweep,
-                         system_for)
+                         collect_sweep, compare_summary, config_from_mapping,
+                         parse_config_file, run_point, system_for)
 from .model import (DistortionReport, PowerAllocation, SystemConfig,
                     assemble_report, capacity_eigform, noise_var_from_snr,
                     sensing_distortion, sensing_subchannel_distortion,
@@ -30,13 +29,13 @@ __version__ = "0.1.0"
 __all__ = [
     "CommChannel", "WaveformCovariance", "alphas_from_channel",
     "covariance_from_alloc", "exact_waveform", "generate_rayleigh",
-    "mmse_matrix_oracle", "mmse_monte_carlo", "mmse_monte_carlo_stats",
+    "mmse_matrix_oracle", "mmse_monte_carlo_stats",
     "sample_waveform",
     "INIT_COMMUNICATION", "INIT_SENSING", "DualSolution", "capacity_gradient",
     "evaluate_dual", "gradient_step", "optimize_dual", "optimize_dual_best",
     "DEFAULTS", "ConfigError", "ExperimentConfig", "SweepRecord",
-    "compare_summary", "config_from_mapping", "collect_sweep", "emit_trace",
-    "parse_config_file", "run_point", "run_sweep", "system_for",
+    "collect_sweep", "compare_summary", "config_from_mapping",
+    "parse_config_file", "run_point", "system_for",
     "DistortionReport", "PowerAllocation", "SystemConfig", "assemble_report",
     "capacity_eigform", "noise_var_from_snr", "sensing_distortion",
     "sensing_subchannel_distortion", "source_eigenvalue",

@@ -14,7 +14,6 @@ is reproducible from the user seed alone and independent of call order.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .model import PowerAllocation, SystemConfig
 
@@ -160,7 +159,7 @@ def mmse_monte_carlo_stats(alloc: PowerAllocation, cfg: SystemConfig,
     """Empirical estimation distortion over seeded trials.
 
     Builds the exact waveform for the allocation, forms the linear MMSE
-    estimator once through a Cholesky solve of the T x T receive covariance,
+    estimator once through a linear solve of the T x T receive covariance,
     then averages the squared estimation error over independent draws of the
     target response and sensing noise.
 
@@ -173,8 +172,7 @@ def mmse_monte_carlo_stats(alloc: PowerAllocation, cfg: SystemConfig,
     x = exact_waveform(alloc, cfg.n_symbols)
     t = cfg.n_symbols
     b = cfg.var_eta * (x.T @ x.conj()) + cfg.var_s * np.eye(t, dtype=complex)
-    cb = cho_factor(b)
-    b_inv = cho_solve(cb, np.eye(t, dtype=complex))
+    b_inv = np.linalg.solve(b, np.eye(t, dtype=complex))
     estimator = cfg.var_eta * (x.conj() @ b_inv)
     errs = np.empty(int(trials))
     for trial in range(int(trials)):
@@ -188,9 +186,3 @@ def mmse_monte_carlo_stats(alloc: PowerAllocation, cfg: SystemConfig,
     stderr = float(errs.std(ddof=1) / np.sqrt(trials)) if trials > 1 else float("inf")
     return mean, stderr, int(trials)
 
-
-def mmse_monte_carlo(alloc: PowerAllocation, cfg: SystemConfig,
-                     trials: int, seed: int) -> float:
-    """Mean empirical estimation distortion (see mmse_monte_carlo_stats)."""
-    mean, _, _ = mmse_monte_carlo_stats(alloc, cfg, trials, seed)
-    return mean

@@ -7,16 +7,14 @@ Exit codes: 0 success, 2 invalid configuration, 3 numeric degeneracy
 import argparse
 import sys
 
-from .experiment import (ConfigError, collect_sweep, config_from_mapping,
-                         compare_summary, emit_trace, parse_config_file,
-                         render_records, run_point, run_sweep, seed_offset,
-                         sort_records)
+from .experiment import (DEFAULTS, ConfigError, collect_sweep, collect_trace,
+                         compare_summary, config_from_mapping,
+                         parse_config_file, render_records, render_trace,
+                         run_point, seed_offset, sort_records, write_output)
 
-_OVERRIDE_KEYS = (
-    "n_tx", "m_s", "m_c", "n_symbols", "var_eta", "p_total", "snr_s_db",
-    "snr_c_db_list", "seeds", "scheme", "dual_init", "grid_l", "tol", "eps",
-    "curve_points", "jobs",
-)
+# every configuration key has a --<key> flag; the output ones have their own
+_OVERRIDE_KEYS = tuple(k for k in DEFAULTS
+                       if k not in ("output_path", "output_format"))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -28,7 +26,8 @@ def build_parser() -> argparse.ArgumentParser:
     specs = {
         "point": "solve one (seed, snr) point for the configured schemes",
         "sweep": "solve the full seed x snr grid and write records",
-        "trace": "record per-iteration objectives of both dual warm starts",
+        "trace": "record per-iteration objectives of both dual warm starts "
+                 "at the first seed and every snr",
         "compare": "sweep both schemes and print per-snr mean distortions",
     }
     for name, help_text in specs.items():
@@ -42,9 +41,9 @@ def build_parser() -> argparse.ArgumentParser:
                            metavar="V", help=argparse.SUPPRESS)
         if name in ("point", "trace"):
             p.add_argument("--seed", type=int,
-                           help="channel seed (default: first configured seed)")
+                           help="channel seed (overrides seeds)")
             p.add_argument("--snr-c-db", type=float, dest="snr_c_db",
-                           help="forward-link SNR in dB (default: first configured)")
+                           help="forward-link SNR in dB (overrides snr_c_db_list)")
     return parser
 
 
@@ -57,6 +56,10 @@ def _build_config(args):
         value = getattr(args, key, None)
         if value is not None:
             mapping[key] = value
+    if getattr(args, "seed", None) is not None:
+        mapping["seeds"] = (args.seed,)
+    if getattr(args, "snr_c_db", None) is not None:
+        mapping["snr_c_db_list"] = (args.snr_c_db,)
     if args.output is not None:
         mapping["output_path"] = args.output
     if args.format is not None:
@@ -68,40 +71,28 @@ def _build_config(args):
     return config_from_mapping(mapping)
 
 
+def _point_records(cfg):
+    return sort_records(run_point(cfg, cfg.seeds[0] + seed_offset(),
+                                  cfg.snr_c_db_list[0]))
+
+
 def _cmd_point(cfg, args) -> int:
-    seed = args.seed if args.seed is not None else cfg.seeds[0]
-    snr = args.snr_c_db if args.snr_c_db is not None else cfg.snr_c_db_list[0]
-    records = sort_records(run_point(cfg, seed + seed_offset(), snr))
-    text = render_records(records, cfg.output_format)
     if args.output is not None:
-        with open(cfg.output_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        records = write_output(cfg, _point_records, render_records)
     else:
-        sys.stdout.write(text)
+        records = _point_records(cfg)
+        sys.stdout.write(render_records(records, cfg.output_format))
     return 3 if any(r.flagged for r in records) else 0
 
 
-def _cmd_sweep(cfg) -> int:
-    path, flagged = run_sweep(cfg)
-    print(f"wrote {path}" + (f" ({flagged} flagged records)" if flagged else ""))
+def _cmd_sweep(cfg, command) -> int:
+    records = write_output(cfg, collect_sweep, render_records)
+    if command == "compare":
+        print(compare_summary(records))
+    flagged = sum(1 for r in records if r.flagged)
+    print(f"wrote {cfg.output_path}"
+          + (f" ({flagged} flagged records)" if flagged else ""))
     return 3 if flagged else 0
-
-
-def _cmd_trace(cfg, args) -> int:
-    seed = args.seed if args.seed is not None else cfg.seeds[0]
-    snr = args.snr_c_db if args.snr_c_db is not None else cfg.snr_c_db_list[0]
-    path = emit_trace(cfg, seed, snr)
-    print(f"wrote {path}")
-    return 0
-
-
-def _cmd_compare(cfg) -> int:
-    with open(cfg.output_path, "w", encoding="utf-8", newline="") as fh:
-        records = collect_sweep(cfg)
-        fh.write(render_records(records, cfg.output_format))
-    print(compare_summary(records))
-    print(f"records written to {cfg.output_path}")
-    return 3 if any(r.flagged for r in records) else 0
 
 
 def main(argv=None) -> int:
@@ -114,11 +105,11 @@ def main(argv=None) -> int:
         cfg = _build_config(args)
         if args.command == "point":
             return _cmd_point(cfg, args)
-        if args.command == "sweep":
-            return _cmd_sweep(cfg)
         if args.command == "trace":
-            return _cmd_trace(cfg, args)
-        return _cmd_compare(cfg)
+            write_output(cfg, collect_trace, render_trace)
+            print(f"wrote {cfg.output_path}")
+            return 0
+        return _cmd_sweep(cfg, args.command)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

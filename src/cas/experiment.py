@@ -2,8 +2,10 @@
 
 A sweep solves both schemes over a grid of channel seeds and forward-link
 SNRs, emitting one flat record per (scheme, seed, snr) with the optimized
-split, distortions and allocation.  Records are sorted and floats formatted
-to 12 significant digits so reruns of the same configuration are
+split, distortions and allocation.  A trace records the dual search's
+objective per iteration at every swept SNR.  Both are rendered by one
+serializer, which formats floats to 12 significant digits, and written by
+one writer; records are sorted, so reruns of the same configuration are
 byte-identical.  The environment variable CAS_SEED_OFFSET shifts every seed
 for batch farming.
 """
@@ -13,7 +15,7 @@ import io
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -29,6 +31,7 @@ DUAL_INITS = ("sensing", "communication", "best")
 OUTPUT_FORMATS = ("csv", "json")
 CSV_COLUMNS = ("scheme", "seed", "snr_c_db", "p_s", "d_s", "d_c", "d_sc",
                "capacity", "iterations", "converged", "alloc_summary")
+TRACE_COLUMNS = ("snr_c_db", "init_kind", "iteration", "d_sc")
 
 SEED_OFFSET_ENV = "CAS_SEED_OFFSET"
 
@@ -96,25 +99,13 @@ class SweepRecord:
     flagged: bool = False
 
 
+_EXPERIMENT_FIELDS = tuple(f for f in fields(ExperimentConfig) if f.name != "system")
+
+# the reference system, then every other ExperimentConfig field's default
 DEFAULTS = {
-    "n_tx": 10,
-    "m_s": 5,
-    "m_c": 5,
-    "n_symbols": 100,
-    "var_eta": 0.1,
+    "n_tx": 10, "m_s": 5, "m_c": 5, "n_symbols": 100, "var_eta": 0.1,
     "p_total": 1.0,
-    "snr_s_db": 20.0,
-    "snr_c_db_list": (0.0, 5.0, 10.0, 15.0, 20.0),
-    "seeds": tuple(range(20)),
-    "scheme": "both",
-    "dual_init": "best",
-    "grid_l": 21,
-    "tol": None,
-    "eps": None,
-    "output_path": "sweep.csv",
-    "output_format": "csv",
-    "jobs": 1,
-    "curve_points": 0,
+    **{f.name: f.default for f in _EXPERIMENT_FIELDS},
 }
 
 _INT_KEYS = ("n_tx", "m_s", "m_c", "n_symbols", "grid_l", "jobs", "curve_points")
@@ -149,7 +140,11 @@ def _coerce(key, value):
 
 
 def config_from_mapping(mapping: dict) -> ExperimentConfig:
-    """Build an ExperimentConfig from flat key/value settings over the defaults."""
+    """Build an ExperimentConfig from flat key/value settings over the defaults.
+
+    The system parameters of every swept SNR are built here, so a value no
+    system can take (e.g. a non-finite SNR) fails before any point is solved.
+    """
     merged = dict(DEFAULTS)
     for key, value in mapping.items():
         if key not in DEFAULTS:
@@ -160,27 +155,19 @@ def config_from_mapping(mapping: dict) -> ExperimentConfig:
             n_tx=merged["n_tx"], m_s=merged["m_s"], m_c=merged["m_c"],
             n_symbols=merged["n_symbols"], var_eta=merged["var_eta"],
             var_s=1.0, var_c=1.0, p_total=merged["p_total"])
-        base = replace(
-            base,
-            var_s=noise_var_from_snr(merged["snr_s_db"], base),
-            var_c=noise_var_from_snr(merged["snr_c_db_list"][0], base))
-    except (ValueError, IndexError) as exc:
+        base = replace(base, var_s=noise_var_from_snr(merged["snr_s_db"], base))
+    except (ValueError, ArithmeticError) as exc:
         raise ConfigError(str(exc)) from exc
-    return ExperimentConfig(
-        system=base,
-        snr_s_db=merged["snr_s_db"],
-        snr_c_db_list=merged["snr_c_db_list"],
-        seeds=merged["seeds"],
-        scheme=merged["scheme"],
-        dual_init=merged["dual_init"],
-        grid_l=merged["grid_l"],
-        tol=merged["tol"],
-        eps=merged["eps"],
-        output_path=merged["output_path"],
-        output_format=merged["output_format"],
-        jobs=merged["jobs"],
-        curve_points=merged["curve_points"],
-    )
+    cfg = ExperimentConfig(system=base,
+                           **{f.name: merged[f.name] for f in _EXPERIMENT_FIELDS})
+    systems = []
+    for snr in cfg.snr_c_db_list:
+        try:
+            systems.append(system_for(cfg, snr))
+        except (ValueError, ArithmeticError) as exc:
+            raise ConfigError(f"snr_c_db {snr}: {exc}") from exc
+    cfg.system = systems[0]
+    return cfg
 
 
 def parse_config_file(path: str) -> dict:
@@ -272,36 +259,51 @@ def _fmt(value: float) -> str:
     return f"{float(value):.12g}"
 
 
-def _record_row(rec: SweepRecord) -> list:
-    return [
-        rec.scheme,
-        str(int(rec.seed)),
-        _fmt(rec.snr_c_db),
-        _fmt(rec.p_s),
-        _fmt(rec.d_s),
-        _fmt(rec.d_c),
-        _fmt(rec.d_sc),
-        _fmt(rec.capacity),
-        str(int(rec.iterations)),
-        "true" if rec.converged else "false",
-        ";".join(_fmt(v) for v in rec.alloc_summary),
-    ]
+def _csv_cell(value) -> str:
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        return _fmt(value)
+    if isinstance(value, tuple):
+        return ";".join(_csv_cell(v) for v in value)
+    return str(value)
 
 
-def _record_obj(rec: SweepRecord) -> dict:
-    return {
-        "scheme": rec.scheme,
-        "seed": int(rec.seed),
-        "snr_c_db": float(_fmt(rec.snr_c_db)),
-        "p_s": float(_fmt(rec.p_s)),
-        "d_s": float(_fmt(rec.d_s)),
-        "d_c": float(_fmt(rec.d_c)),
-        "d_sc": float(_fmt(rec.d_sc)),
-        "capacity": float(_fmt(rec.capacity)),
-        "iterations": int(rec.iterations),
-        "converged": bool(rec.converged),
-        "alloc_summary": [float(_fmt(v)) for v in rec.alloc_summary],
-    }
+def _json_value(value):
+    if isinstance(value, (bool, np.bool_)):
+        return bool(value)
+    if isinstance(value, (int, np.integer)):
+        return int(value)
+    if isinstance(value, (float, np.floating)):
+        return float(_fmt(value))
+    if isinstance(value, tuple):
+        return [_json_value(v) for v in value]
+    return value
+
+
+def _render_rows(columns: tuple, rows, output_format: str) -> str:
+    """Serialize rows of values in ``columns`` order to CSV or JSON text.
+
+    Floats carry 12 significant digits and booleans are true/false in both
+    formats; a tuple is ';'-joined in CSV and a list in JSON.
+    """
+    if output_format == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows([_csv_cell(v) for v in row] for row in rows)
+        return buf.getvalue()
+    if output_format == "json":
+        objs = [{c: _json_value(v) for c, v in zip(columns, row)} for row in rows]
+        return json.dumps(objs, indent=2) + "\n"
+    raise ConfigError(f"output_format must be one of {OUTPUT_FORMATS}")
+
+
+def _record_values(rec: SweepRecord) -> tuple:
+    """A record's values in CSV_COLUMNS order."""
+    return tuple(getattr(rec, column) for column in CSV_COLUMNS)
 
 
 def sort_records(records: list) -> list:
@@ -310,16 +312,8 @@ def sort_records(records: list) -> list:
 
 def render_records(records: list, output_format: str) -> str:
     """Serialize sorted records to CSV or JSON text, floats at 12 significant digits."""
-    if output_format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
-        for rec in records:
-            writer.writerow(_record_row(rec))
-        return buf.getvalue()
-    if output_format == "json":
-        return json.dumps([_record_obj(r) for r in records], indent=2) + "\n"
-    raise ConfigError(f"output_format must be one of {OUTPUT_FORMATS}")
+    return _render_rows(CSV_COLUMNS, [_record_values(r) for r in records],
+                        output_format)
 
 
 def collect_sweep(cfg: ExperimentConfig) -> list:
@@ -336,40 +330,39 @@ def collect_sweep(cfg: ExperimentConfig) -> list:
     return sort_records(records)
 
 
-def run_sweep(cfg: ExperimentConfig):
-    """Run the full sweep and write it to cfg.output_path.
+def collect_trace(cfg: ExperimentConfig) -> list:
+    """Objective per iteration of both dual warm starts, at the first seed and every SNR.
 
-    The output file is opened before any computation so an unwritable path
-    fails fast.  Returns (path, flagged_count).
+    Rows hold (snr_c_db, init_kind, iteration, d_sc), in TRACE_COLUMNS order.
     """
-    with open(cfg.output_path, "w", encoding="utf-8", newline="") as fh:
-        records = collect_sweep(cfg)
-        fh.write(render_records(records, cfg.output_format))
-    return cfg.output_path, sum(1 for r in records if r.flagged)
-
-
-def emit_trace(cfg: ExperimentConfig, seed: int, snr_c_db: float) -> str:
-    """Write the per-iteration objective of both dual warm starts for one point."""
-    sys_cfg = system_for(cfg, snr_c_db)
-    eff_seed = int(seed) + seed_offset()
-    with open(cfg.output_path, "w", encoding="utf-8", newline="") as fh:
-        ch = generate_rayleigh(eff_seed, sys_cfg.m_c, sys_cfg.n_tx)
+    seed = cfg.seeds[0] + seed_offset()
+    rows = []
+    for snr in cfg.snr_c_db_list:
+        sys_cfg = system_for(cfg, snr)
+        ch = generate_rayleigh(seed, sys_cfg.m_c, sys_cfg.n_tx)
         alphas = alphas_from_channel(ch, sys_cfg)
-        rows = []
         for kind in (INIT_SENSING, INIT_COMMUNICATION):
             sol = optimize_dual(sys_cfg, alphas, init_kind=kind, eps=cfg.eps)
-            for i, value in enumerate(sol.objective_trace):
-                rows.append((kind, i, value))
-        if cfg.output_format == "json":
-            payload = [{"init_kind": k, "iteration": i, "d_sc": float(_fmt(v))}
-                       for k, i, v in rows]
-            fh.write(json.dumps(payload, indent=2) + "\n")
-        else:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(("init_kind", "iteration", "d_sc"))
-            for kind, i, value in rows:
-                writer.writerow((kind, str(i), _fmt(value)))
-    return cfg.output_path
+            rows.extend((float(snr), kind, i, value)
+                        for i, value in enumerate(sol.objective_trace))
+    return rows
+
+
+def render_trace(rows: list, output_format: str) -> str:
+    """Serialize collect_trace rows to CSV or JSON text."""
+    return _render_rows(TRACE_COLUMNS, rows, output_format)
+
+
+def write_output(cfg: ExperimentConfig, collect, render):
+    """Write ``render(collect(cfg), cfg.output_format)`` to cfg.output_path.
+
+    The file is opened before collect runs, so an unwritable path fails
+    before anything is solved.  Returns what collect returned.
+    """
+    with open(cfg.output_path, "w", encoding="utf-8", newline="") as fh:
+        collected = collect(cfg)
+        fh.write(render(collected, cfg.output_format))
+    return collected
 
 
 def compare_summary(records: list) -> str:

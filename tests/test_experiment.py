@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from cas import (ConfigError, config_from_mapping, compare_summary,
-                 emit_trace, parse_config_file, run_point, run_sweep)
+                 parse_config_file, run_point)
 from cas.cli import main
-from cas.experiment import CSV_COLUMNS, collect_sweep, render_records
+from cas.experiment import (CSV_COLUMNS, TRACE_COLUMNS, collect_sweep,
+                            render_records, write_output)
 
 SMALL = {
     "seeds": "0,1,2",
@@ -23,6 +24,19 @@ def small_cfg(tmp_path, **extra):
     mapping["output_path"] = str(tmp_path / "out.csv")
     mapping.update(extra)
     return config_from_mapping(mapping)
+
+
+def write_sweep(cfg):
+    records = write_output(cfg, collect_sweep, render_records)
+    return cfg.output_path, sum(1 for r in records if r.flagged)
+
+
+def src_env():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(os.path.dirname(__file__), "..", "src"),
+         env.get("PYTHONPATH", "")])
+    return env
 
 
 def test_defaults_match_reference_setup():
@@ -106,7 +120,7 @@ def test_sweep_record_counts_and_sorting(tmp_path):
 
 def test_sweep_csv_schema_and_determinism(tmp_path):
     cfg = small_cfg(tmp_path)
-    path, flagged = run_sweep(cfg)
+    path, flagged = write_sweep(cfg)
     assert flagged == 0
     first = open(path, "rb").read()
     lines = first.decode().splitlines()
@@ -119,14 +133,14 @@ def test_sweep_csv_schema_and_determinism(tmp_path):
     # every float field parses back and alloc sums to at most the budget
     alloc = [float(v) for v in row[10].split(";")]
     assert sum(alloc) <= 1.0 + 1e-9
-    path2, _ = run_sweep(cfg)
+    path2, _ = write_sweep(cfg)
     assert open(path2, "rb").read() == first
 
 
 def test_sweep_json_format(tmp_path):
     cfg = small_cfg(tmp_path, output_format="json",
                     output_path=str(tmp_path / "out.json"))
-    path, _ = run_sweep(cfg)
+    path, _ = write_sweep(cfg)
     data = json.loads(open(path).read())
     assert len(data) == 12
     for obj in data:
@@ -135,6 +149,20 @@ def test_sweep_json_format(tmp_path):
         assert isinstance(obj["converged"], bool)
     # 12 significant digits survive the round trip
     assert any(len(f"{obj['d_sc']:.12g}") >= 10 for obj in data)
+    # the CSV sweep of the same config carries the same values
+    csv_path, _ = write_sweep(small_cfg(tmp_path))
+    header, *rows = open(csv_path).read().splitlines()
+    assert header == ",".join(CSV_COLUMNS)
+    parsed = []
+    for row in rows:
+        obj = dict(zip(CSV_COLUMNS, row.split(",")))
+        obj.update({k: float(obj[k]) for k in ("snr_c_db", "p_s", "d_s", "d_c",
+                                               "d_sc", "capacity")})
+        obj.update(seed=int(obj["seed"]), iterations=int(obj["iterations"]),
+                   converged={"true": True, "false": False}[obj["converged"]],
+                   alloc_summary=[float(v) for v in obj["alloc_summary"].split(";")])
+        parsed.append(obj)
+    assert parsed == data
 
 
 def test_seed_offset_env(tmp_path, monkeypatch):
@@ -153,7 +181,7 @@ def test_seed_offset_env(tmp_path, monkeypatch):
 def test_unwritable_output_fails_fast(tmp_path):
     cfg = small_cfg(tmp_path, output_path=str(tmp_path / "missing" / "out.csv"))
     with pytest.raises(OSError):
-        run_sweep(cfg)
+        write_sweep(cfg)
 
 
 def test_curve_points_emit_grid_rows(tmp_path):
@@ -169,15 +197,20 @@ def test_curve_points_emit_grid_rows(tmp_path):
 
 
 def test_emit_trace(tmp_path):
-    cfg = small_cfg(tmp_path, output_path=str(tmp_path / "trace.csv"))
-    path = emit_trace(cfg, 0, 10.0)
-    lines = open(path).read().splitlines()
-    assert lines[0] == "init_kind,iteration,d_sc"
-    kinds = {line.split(",")[0] for line in lines[1:]}
-    assert kinds == {"sensing_optimal", "communication_optimal"}
-    for kind in kinds:
-        vals = [float(line.split(",")[2]) for line in lines[1:]
-                if line.split(",")[0] == kind]
+    path = tmp_path / "trace.csv"
+    code = main(["trace", "--seeds", "0", "--snr-c-db-list", "0,10",
+                 "--output", str(path)])
+    assert code == 0
+    lines = path.read_text().splitlines()
+    assert lines[0] == "snr_c_db,init_kind,iteration,d_sc"
+    rows = [line.split(",") for line in lines[1:]]
+    series = {(snr, kind) for snr, kind, _, _ in rows}
+    assert series == {(snr, kind) for snr in ("0", "10")
+                      for kind in ("sensing_optimal", "communication_optimal")}
+    for key in series:
+        iters = [int(i) for snr, kind, i, _ in rows if (snr, kind) == key]
+        assert iters == list(range(len(iters)))
+        vals = [float(v) for snr, kind, _, v in rows if (snr, kind) == key]
         assert all(b <= a + 1e-12 for a, b in zip(vals, vals[1:]))
 
 
@@ -211,13 +244,16 @@ def test_cli_sweep_and_compare(tmp_path, capsys):
                  "--output", str(tmp_path / "c.csv")])
     assert code == 0
     assert "gain_pct" in capsys.readouterr().out
+    assert (tmp_path / "c.csv").read_bytes() == out.read_bytes()
 
 
 def test_cli_trace_default_name(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     code = main(["trace", "--seed", "1", "--snr-c-db", "10"])
     assert code == 0
-    assert (tmp_path / "trace.csv").exists()
+    lines = (tmp_path / "trace.csv").read_text().splitlines()
+    assert lines[0] == ",".join(TRACE_COLUMNS)
+    assert {line.split(",")[0] for line in lines[1:]} == {"10"}
 
 
 def test_cli_config_file_and_flag_precedence(tmp_path, capsys):
@@ -231,26 +267,42 @@ def test_cli_config_file_and_flag_precedence(tmp_path, capsys):
     assert "dual" in body and "separated" not in body
 
 
-def test_cli_exit_codes(tmp_path):
+def test_cli_exit_codes(tmp_path, capsys):
     assert main(["sweep", "--scheme", "bogus",
                  "--output", str(tmp_path / "x.csv")]) == 2
     assert main(["sweep", "--seeds", "0", "--snr-c-db-list", "10",
                  "--output", str(tmp_path / "nodir" / "x.csv")]) == 4
     assert main(["sweep", "--config", str(tmp_path / "missing.cfg"),
                  "--output", str(tmp_path / "x.csv")]) == 4
+    # every swept SNR is checked before the output opens, so nothing is solved
+    capsys.readouterr()
+    for argv in (["point", "--snr-c-db", "nan"],
+                 ["trace", "--snr-c-db", "nan"],
+                 ["sweep", "--snr-c-db-list", "10,nan"],
+                 ["sweep", "--snr-c-db-list", "10,inf"],
+                 ["sweep", "--snr-c-db-list", "10,4000"],
+                 ["point", "--snr-s-db", "4000"]):
+        assert main(argv + ["--output", str(tmp_path / "y.csv")]) == 2, argv
+        assert capsys.readouterr().err.startswith("configuration error: ")
+        assert not (tmp_path / "y.csv").exists()
 
 
 def test_cli_module_entry(tmp_path):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [os.path.join(os.path.dirname(__file__), "..", "src"),
-         env.get("PYTHONPATH", "")])
     proc = subprocess.run(
         [sys.executable, "-m", "cas", "point", "--seeds", "0",
          "--snr-c-db-list", "10"],
-        capture_output=True, text=True, env=env, cwd=str(tmp_path))
+        capture_output=True, text=True, env=src_env(), cwd=str(tmp_path))
     assert proc.returncode == 0
     assert proc.stdout.startswith("scheme,")
+
+
+def test_import_does_not_load_scipy(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, cas; print('scipy' in sys.modules)"],
+        capture_output=True, text=True, env=src_env(), cwd=str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_parallel_jobs_match_serial(tmp_path):
