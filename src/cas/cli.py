@@ -15,6 +15,8 @@ from .experiment import (DEFAULTS, ConfigError, collect_sweep, collect_trace,
 # every configuration key has a --<key> flag; the output ones have their own
 _OVERRIDE_KEYS = tuple(k for k in DEFAULTS
                        if k not in ("output_path", "output_format"))
+_VALUE_FLAGS = frozenset(["--seed", "--snr-c-db"]
+                         + ["--" + k.replace("_", "-") for k in _OVERRIDE_KEYS])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -45,6 +47,20 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--snr-c-db", type=float, dest="snr_c_db",
                            help="forward-link SNR in dB (overrides snr_c_db_list)")
     return parser
+
+
+def _attach_values(argv: list) -> list:
+    """Join each value flag with the argument after it as ``--flag=value``.
+
+    argparse reads a separate argument such as ``-5,0`` as an unknown flag,
+    so a value starting with '-' is only accepted in the joined form.
+    """
+    out = []
+    args = iter(argv)
+    for arg in args:
+        value = next(args, None) if arg in _VALUE_FLAGS else None
+        out.append(arg if value is None else f"{arg}={value}")
+    return out
 
 
 def _build_config(args):
@@ -98,7 +114,8 @@ def _cmd_sweep(cfg, command) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(
+            _attach_values(sys.argv[1:] if argv is None else list(argv)))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -14,7 +14,6 @@ import csv
 import io
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -35,6 +34,9 @@ TRACE_COLUMNS = ("snr_c_db", "init_kind", "iteration", "d_sc")
 
 SEED_OFFSET_ENV = "CAS_SEED_OFFSET"
 
+# accepted SNRs in dB; beyond them 10**(snr/10) overflows or underflows
+SNR_DB_RANGE = (-1000.0, 1000.0)
+
 
 class ConfigError(ValueError):
     """Invalid experiment configuration (bad key, value or combination)."""
@@ -50,8 +52,6 @@ class ExperimentConfig:
     seeds: tuple = tuple(range(20))
     scheme: str = "both"
     dual_init: str = "best"
-    grid_l: int = 21
-    tol: float | None = None
     eps: float | None = None
     output_path: str = "sweep.csv"
     output_format: str = "csv"
@@ -69,10 +69,6 @@ class ExperimentConfig:
             raise ConfigError("snr_c_db_list must be nonempty")
         if not self.seeds:
             raise ConfigError("seeds must be nonempty")
-        if self.grid_l < 3:
-            raise ConfigError("grid_l must be at least 3")
-        if self.tol is not None and not self.tol > 0:
-            raise ConfigError("tol must be positive when set")
         if self.eps is not None and not self.eps > 0:
             raise ConfigError("eps must be positive when set")
         if self.jobs < 1:
@@ -81,9 +77,14 @@ class ExperimentConfig:
             raise ConfigError("curve_points must be nonnegative")
 
 
-@dataclass
+@dataclass(slots=True, eq=False)
 class SweepRecord:
-    """One solved point of a sweep; flagged marks numeric degeneracy out of band."""
+    """One solved point of a sweep; flagged marks numeric degeneracy out of band.
+
+    alloc_summary is the solver's read-only eigenvalue array, kept as is
+    rather than copied into Python floats, so a sweep's records stay small.
+    Records compare by identity: an array field has no single truth value.
+    """
 
     scheme: str
     seed: int
@@ -95,7 +96,7 @@ class SweepRecord:
     capacity: float
     iterations: int
     converged: bool
-    alloc_summary: tuple
+    alloc_summary: np.ndarray
     flagged: bool = False
 
 
@@ -108,9 +109,9 @@ DEFAULTS = {
     **{f.name: f.default for f in _EXPERIMENT_FIELDS},
 }
 
-_INT_KEYS = ("n_tx", "m_s", "m_c", "n_symbols", "grid_l", "jobs", "curve_points")
+_INT_KEYS = ("n_tx", "m_s", "m_c", "n_symbols", "jobs", "curve_points")
 _FLOAT_KEYS = ("var_eta", "p_total", "snr_s_db")
-_OPT_FLOAT_KEYS = ("tol", "eps")
+_OPT_FLOAT_KEYS = ("eps",)
 _STR_KEYS = ("scheme", "dual_init", "output_path", "output_format")
 
 
@@ -139,6 +140,12 @@ def _coerce(key, value):
     raise ConfigError(f"unknown configuration key {key!r}")
 
 
+def _check_snr(key: str, snr: float) -> None:
+    lo, hi = SNR_DB_RANGE
+    if not lo <= snr <= hi:
+        raise ConfigError(f"{key} must lie in [{lo:g}, {hi:g}] dB, got {snr!r}")
+
+
 def config_from_mapping(mapping: dict) -> ExperimentConfig:
     """Build an ExperimentConfig from flat key/value settings over the defaults.
 
@@ -150,6 +157,9 @@ def config_from_mapping(mapping: dict) -> ExperimentConfig:
         if key not in DEFAULTS:
             raise ConfigError(f"unknown configuration key {key!r}")
         merged[key] = _coerce(key, value)
+    _check_snr("snr_s_db", merged["snr_s_db"])
+    for snr in merged["snr_c_db_list"]:
+        _check_snr("snr_c_db", snr)
     try:
         base = SystemConfig(
             n_tx=merged["n_tx"], m_s=merged["m_s"], m_c=merged["m_c"],
@@ -210,13 +220,13 @@ def run_point(cfg: ExperimentConfig, seed: int, snr_c_db: float) -> list:
         dead_link = not bool(np.any(alphas > 0))
         records = []
         if cfg.scheme in ("separated", "both"):
-            sol = optimize_separated(sys_cfg, alphas, grid_l=cfg.grid_l, tol=cfg.tol)
+            sol = optimize_separated(sys_cfg, alphas)
             records.append(SweepRecord(
                 scheme="separated", seed=int(seed), snr_c_db=float(snr_c_db),
                 p_s=sol.p_s, d_s=sol.report.d_s, d_c=sol.report.d_c,
                 d_sc=sol.report.d_sc, capacity=sol.report.capacity,
-                iterations=sol.grid_evals, converged=True,
-                alloc_summary=tuple(sol.comm_alloc.lambdas),
+                iterations=sol.evaluations, converged=True,
+                alloc_summary=sol.comm_alloc.lambdas,
                 flagged=dead_link))
         if cfg.scheme in ("dual", "both"):
             if cfg.dual_init == "best":
@@ -229,7 +239,7 @@ def run_point(cfg: ExperimentConfig, seed: int, snr_c_db: float) -> list:
                 p_s=dsol.alloc.total, d_s=dsol.report.d_s, d_c=dsol.report.d_c,
                 d_sc=dsol.report.d_sc, capacity=dsol.report.capacity,
                 iterations=dsol.iterations, converged=dsol.converged,
-                alloc_summary=tuple(dsol.alloc.lambdas),
+                alloc_summary=dsol.alloc.lambdas,
                 flagged=dead_link or not dsol.converged))
         if cfg.curve_points > 0 and cfg.scheme in ("separated", "both"):
             for p in np.linspace(0.0, sys_cfg.p_total, cfg.curve_points):
@@ -240,7 +250,7 @@ def run_point(cfg: ExperimentConfig, seed: int, snr_c_db: float) -> list:
                     snr_c_db=float(snr_c_db), p_s=float(p), d_s=rep.d_s,
                     d_c=rep.d_c, d_sc=rep.d_sc, capacity=rep.capacity,
                     iterations=0, converged=True,
-                    alloc_summary=tuple(wf.alloc.lambdas),
+                    alloc_summary=wf.alloc.lambdas,
                     flagged=dead_link))
         return records
     except ConfigError:
@@ -266,8 +276,8 @@ def _csv_cell(value) -> str:
         return str(int(value))
     if isinstance(value, (float, np.floating)):
         return _fmt(value)
-    if isinstance(value, tuple):
-        return ";".join(_csv_cell(v) for v in value)
+    if isinstance(value, np.ndarray):
+        return ";".join(_csv_cell(v) for v in value.tolist())
     return str(value)
 
 
@@ -278,8 +288,8 @@ def _json_value(value):
         return int(value)
     if isinstance(value, (float, np.floating)):
         return float(_fmt(value))
-    if isinstance(value, tuple):
-        return [_json_value(v) for v in value]
+    if isinstance(value, np.ndarray):
+        return [_json_value(v) for v in value.tolist()]
     return value
 
 
@@ -287,7 +297,7 @@ def _render_rows(columns: tuple, rows, output_format: str) -> str:
     """Serialize rows of values in ``columns`` order to CSV or JSON text.
 
     Floats carry 12 significant digits and booleans are true/false in both
-    formats; a tuple is ';'-joined in CSV and a list in JSON.
+    formats; an array is ';'-joined in CSV and a list in JSON.
     """
     if output_format == "csv":
         buf = io.StringIO()
@@ -322,8 +332,14 @@ def collect_sweep(cfg: ExperimentConfig) -> list:
     points = [(cfg, seed + offset, snr)
               for snr in cfg.snr_c_db_list for seed in cfg.seeds]
     if cfg.jobs > 1:
+        # imported here: loading the pool machinery costs every serial run
+        from concurrent.futures import ProcessPoolExecutor
+        # several points per message: their records then share one pickle
+        # memo, so the scheme names and SNRs arrive once per message rather
+        # than as a fresh copy in every record
+        chunksize = max(1, len(points) // (8 * cfg.jobs))
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            chunks = list(pool.map(_point_task, points))
+            chunks = list(pool.map(_point_task, points, chunksize=chunksize))
     else:
         chunks = [_point_task(p) for p in points]
     records = [rec for chunk in chunks for rec in chunk]

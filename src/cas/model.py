@@ -124,11 +124,13 @@ def sensing_subchannel_distortion(lambda_s, cfg: SystemConfig):
 
     Accepts a scalar or an array of eigenvalues.  Decreasing and convex in
     lambda_s; equals var_eta at zero power and vanishes as power grows.
+    Written as var_eta over a divisor >= 1 so it never rounds above var_eta,
+    which keeps source_eigenvalue nonnegative in floating point.
     """
     lam = np.asarray(lambda_s, dtype=float)
     if np.any(lam < 0):
         raise ValueError("sensing eigenvalue power must be nonnegative")
-    out = cfg.var_s * cfg.var_eta / (cfg.var_s + cfg.n_symbols * cfg.var_eta * lam)
+    out = cfg.var_eta / (1.0 + cfg.n_symbols * cfg.var_eta * lam / cfg.var_s)
     return out.item() if out.ndim == 0 else out
 
 

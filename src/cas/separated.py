@@ -1,32 +1,43 @@
 """Power-split optimization for the separated waveform scheme.
 
 The budget is divided between an isotropic sensing waveform (power p_s) and
-a capacity-optimal communication waveform (power p_total - p_s).  The
-end-to-end distortion is evaluated on a grid over p_s which is repeatedly
-recentered around the incumbent best point, a derivative-free search that
-needs no smoothness assumptions on the composed objective.
+a capacity-optimal communication waveform (power p_total - p_s).  Because
+the sensing waveform is uniform, all n forwarded source eigenvalues equal
+g(x) with x = p_s/n, and reverse water-filling over equal eigenvalues is
+closed-form:
+
+    d_sc(p_s) = m*n*f(x) + m*n*g(x)*exp(-C(p_total - p_s)/(m*n))
+
+with C the water-filling capacity.  Its derivative is explicit, so the
+optimal split is found as a root of the derivative by bisection on its sign.
 """
 
+import math
 from dataclasses import dataclass
-from typing import Callable, Optional
-
-import numpy as np
 
 from .model import (DistortionReport, PowerAllocation, SystemConfig,
-                    assemble_report, sensing_distortion, source_eigenvalue)
+                    assemble_report, sensing_distortion,
+                    sensing_subchannel_distortion, source_eigenvalue)
 from .waterfilling import reverse_waterfill, uniform_allocation, waterfill_capacity
 
 
 @dataclass(frozen=True)
 class SeparatedSolution:
-    """Best split found, with the allocations realizing it on both waveforms."""
+    """Best split found, with the allocations realizing it on both waveforms.
+
+    slope is dd_sc/dp_s at p_s, the optimality certificate: about zero
+    (relative to either of its two terms) at an interior optimum, >= 0 when
+    p_s = 0 and <= 0 when p_s = p_total.  evaluations counts slope
+    evaluations.
+    """
 
     p_s: float
     p_c: float
     report: DistortionReport
     sensing_alloc: PowerAllocation
     comm_alloc: PowerAllocation
-    grid_evals: int
+    slope: float
+    evaluations: int
 
 
 def evaluate_split(p_s: float, cfg: SystemConfig, alphas) -> DistortionReport:
@@ -43,61 +54,63 @@ def evaluate_split(p_s: float, cfg: SystemConfig, alphas) -> DistortionReport:
     return assemble_report(d_s, rwf.d_c, wf.capacity, rwf.xi, eta)
 
 
-def optimize_separated(cfg: SystemConfig, alphas, grid_l: int = 21,
-                       tol: Optional[float] = None,
-                       objective: Optional[Callable[[float], float]] = None
-                       ) -> SeparatedSolution:
-    """Grid-refinement search for the best sensing/communication power split.
+def split_slope(p_s: float, cfg: SystemConfig, alphas) -> float:
+    """Derivative of evaluate_split's d_sc with respect to p_s, on a live link.
 
-    Each round evaluates grid_l equispaced points on the current interval and
-    recenters on the best point's immediate neighbors (clamped at the
-    endpoints), until the interval is narrower than tol (default
-    1e-4 * p_total).  Ties go to the smaller p_s.  The returned split is the
-    best point seen across all rounds, re-evaluated through the full
-    pipeline; ``objective`` substitutes the scalar objective during the
-    search only (used for testing the search itself).
+    dd_sc/dp_s = m*f'(x)*(1 - E) + g(x)*E/level, where x = p_s/n,
+    f' = -T*f^2/var_s, E = exp(-C/(m*n)), and C and level are the capacity
+    and water level at p_c = p_total - p_s (dC/dp_c = 1/level).
     """
-    if grid_l < 3:
-        raise ValueError("grid_l must be at least 3")
-    if tol is None:
-        tol = 1e-4 * cfg.p_total
-    if not tol > 0:
-        raise ValueError("tol must be positive")
-    if objective is None:
-        def objective(p):
-            return evaluate_split(p, cfg, alphas).d_sc
+    f = sensing_subchannel_distortion(p_s / cfg.n_tx, cfg)
+    wf = waterfill_capacity(cfg.p_total - p_s, alphas)
+    c = wf.capacity / (cfg.m_s * cfg.n_tx)
+    d_f = -cfg.n_symbols * f * f / cfg.var_s
+    return (-cfg.m_s * d_f * math.expm1(-c)
+            + (cfg.var_eta - f) * math.exp(-c) / wf.level)
 
-    lo, hi = 0.0, cfg.p_total
-    best_p = 0.0
-    best_v = np.inf
-    evals = 0
-    while True:
-        grid = np.linspace(lo, hi, grid_l)
-        vals = np.array([objective(p) for p in grid])
-        evals += grid_l
-        k = int(np.argmin(vals))
-        if vals[k] < best_v:
-            best_v = float(vals[k])
-            best_p = float(grid[k])
-        new_lo = float(grid[k - 1]) if k > 0 else lo
-        new_hi = float(grid[k + 1]) if k < grid_l - 1 else hi
-        if new_hi - new_lo >= hi - lo:
-            # grid_l = 3 with an interior minimum reproduces the same
-            # interval; contract around the best point to keep shrinking
-            quarter = 0.25 * (hi - lo)
-            new_lo = max(float(grid[k]) - quarter, lo)
-            new_hi = min(float(grid[k]) + quarter, hi)
-        lo, hi = new_lo, new_hi
-        if hi - lo <= tol:
-            break
 
-    report = evaluate_split(best_p, cfg, alphas)
-    p_c = max(cfg.p_total - best_p, 0.0)
+def optimize_separated(cfg: SystemConfig, alphas) -> SeparatedSolution:
+    """Optimal sensing/communication power split, from the root of split_slope.
+
+    The slope is negative at p_s = 0 and positive at p_s = p_total on a live
+    link; bisection on its sign keeps a bracket with a negative slope at the
+    left end and a nonnegative one at the right end until the two ends are
+    adjacent floats (about 55 evaluations), so the result is a local minimum.
+    Of the two ends, the one with the smaller |slope| is returned,
+    re-evaluated through evaluate_split.  On a dead link (all gains zero)
+    d_sc does not depend on the split, and p_s = 0 is returned with slope 0.
+    """
+    if waterfill_capacity(cfg.p_total, alphas).degenerate:
+        p_s, slope, evals = 0.0, 0.0, 0
+    else:
+        lo, hi = 0.0, cfg.p_total
+        s_lo = split_slope(lo, cfg, alphas)
+        s_hi = split_slope(hi, cfg, alphas)
+        evals = 2
+        if s_lo >= 0:
+            p_s, slope = lo, s_lo
+        elif s_hi <= 0:
+            p_s, slope = hi, s_hi
+        else:
+            while True:
+                mid = 0.5 * (lo + hi)
+                if not lo < mid < hi:
+                    break
+                s = split_slope(mid, cfg, alphas)
+                evals += 1
+                if s < 0:
+                    lo, s_lo = mid, s
+                else:
+                    hi, s_hi = mid, s
+            p_s, slope = (lo, s_lo) if -s_lo <= s_hi else (hi, s_hi)
+
+    p_c = cfg.p_total - p_s
     return SeparatedSolution(
-        p_s=best_p,
+        p_s=p_s,
         p_c=p_c,
-        report=report,
-        sensing_alloc=uniform_allocation(best_p, cfg.n_tx),
+        report=evaluate_split(p_s, cfg, alphas),
+        sensing_alloc=uniform_allocation(p_s, cfg.n_tx),
         comm_alloc=waterfill_capacity(p_c, alphas).alloc,
-        grid_evals=evals,
+        slope=slope,
+        evaluations=evals,
     )

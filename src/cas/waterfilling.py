@@ -1,20 +1,20 @@
 """Water-filling solvers for the forward link and its reverse (rate-distortion) dual.
 
-Both solvers are plain bisections on the water level: capacity water-filling
-bisects the level directly, reverse water-filling bisects its logarithm to
-stay stable across many orders of magnitude.  Bisection is branch-free and
-deterministic, and each forward solve carries a KKT residual so optimality
-is certified rather than assumed.
+Both solvers are exact and take a fixed number of steps: they sort the
+channels once and read the water level off the prefix sums for the number
+of active channels that is consistent with it (Palomar & Fonollosa, IEEE
+TSP 2005, for capacity; Cover & Thomas, Elements of Information Theory,
+section 10.3.3, for the reverse problem, solved in the log domain so it is
+stable across many orders of magnitude).  Each forward solve carries a KKT
+residual so optimality is certified rather than assumed.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .model import PowerAllocation
-
-_MAX_BISECT = 200
-_XI_FLOOR = 1e-300
 
 
 @dataclass(frozen=True)
@@ -41,9 +41,10 @@ class ReverseWaterfillResult:
 
     xi is the reverse water level: each component is delivered at distortion
     min(xi, eig).  d_c multiplies the per-component sum by the source
-    multiplicity.  saturated marks rate targets beyond the representable
-    range, where xi clamps to a tiny floor.  degenerate marks an all-zero
-    source, which costs nothing to deliver at any rate.
+    multiplicity.  saturated marks rate targets so large that xi underflows
+    to zero (rate is still the consumed rate, computed in the log domain).
+    degenerate marks an all-zero source, which costs nothing to deliver at
+    any rate.
     """
 
     xi: float
@@ -94,8 +95,12 @@ def waterfill_capacity(p_c: float, alphas) -> WaterfillResult:
         WaterfillResult with lam_i = max(level - 1/alpha_i, 0), the sum of
         active powers matching p_c to relative 1e-8 or tighter.
 
-    The level is bisected between min(1/alpha) and max(1/alpha) + p_c until
-    the bracket collapses to floating-point adjacency (at most 200 steps).
+    With 1/alpha sorted ascending over the positive gains and measured as
+    offsets o_i above the lowest one, filling the k strongest channels
+    gives the water depth w = (p_c + o_1 + ... + o_k)/k above that floor;
+    the depth is the one of the largest k whose depth reaches o_k.  Active
+    powers are w - o_i, and every active offset is at most w <= p_c, so
+    even a budget far below the floors' float spacing is handed out whole.
     """
     a = np.asarray(alphas, dtype=float)
     if a.ndim != 1 or a.size == 0:
@@ -111,21 +116,19 @@ def waterfill_capacity(p_c: float, alphas) -> WaterfillResult:
         return WaterfillResult(zero, 0.0, 0.0, 0.0, degenerate=bool(p_c > 0))
     inv = 1.0 / a[pos]
     if p_c == 0:
+        # nothing to place: the lowest floor is the level, and the KKT
+        # conditions hold exactly rather than up to the rounding of 1/level
         zero = PowerAllocation(np.zeros(n))
         return WaterfillResult(zero, float(inv.min()), 0.0, 0.0)
-    lo = float(inv.min())
-    hi = float(inv.max()) + float(p_c)
-    for _ in range(_MAX_BISECT):
-        mid = 0.5 * (lo + hi)
-        if np.maximum(mid - inv, 0.0).sum() > p_c:
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo <= 4.0 * np.spacing(hi):
-            break
-    level = 0.5 * (lo + hi)
+    floor = inv.min()
+    offsets = inv - floor
+    ordered = np.sort(offsets)
+    depths = (p_c + np.cumsum(ordered)) / np.arange(1, ordered.size + 1)
+    # k = 1 always qualifies, since depths[0] = p_c and ordered[0] = 0
+    depth = depths[np.flatnonzero(depths >= ordered)[-1]]
+    level = float(floor + depth)
     lam = np.zeros(n)
-    lam[pos] = np.maximum(level - inv, 0.0)
+    lam[pos] = np.maximum(depth - offsets, 0.0)
     alloc = PowerAllocation(lam)
     capacity = float(np.sum(np.log1p(a * lam)))
     return WaterfillResult(alloc, level, capacity,
@@ -145,11 +148,15 @@ def reverse_waterfill(source_eigs, multiplicity: int,
     Returns:
         ReverseWaterfillResult with per-component distortion min(xi, eig),
         d_c = multiplicity * sum of those, and the rate actually consumed,
-        which matches target_rate to relative 1e-8 whenever the target is
-        attainable and positive.
+        which matches target_rate up to the rounding of the log
+        eigenvalues (a target below that resolution consumes zero rate).
 
-    The level is bisected in log space between a tiny floor and the largest
-    eigenvalue; a zero target yields xi = max(eig) and zero rate.
+    With the log eigenvalues sorted descending, spending the rate R on the
+    k largest components gives log xi = (sum of their logs - R/m)/k.  The
+    active set is the smallest k whose level is at least the (k+1)-th log
+    eigenvalue (all components if none is).  Zero eigenvalues are never
+    active and are left out; a zero target yields xi = max(eig) and zero
+    rate.
     """
     eigs = np.asarray(source_eigs, dtype=float)
     if eigs.ndim != 1 or eigs.size == 0:
@@ -161,35 +168,23 @@ def reverse_waterfill(source_eigs, multiplicity: int,
     if target_rate < 0 or not np.isfinite(target_rate):
         raise ValueError("target rate must be nonnegative and finite")
     m = int(multiplicity)
-    lmax = float(eigs.max())
-    if lmax <= 0:
+    pos = eigs[eigs > 0]
+    if pos.size == 0:
         return ReverseWaterfillResult(0.0, np.zeros_like(eigs), 0.0, 0.0,
                                       degenerate=True)
-
-    def rate_at(xi):
-        mask = eigs > xi
-        if not mask.any():
-            return 0.0
-        return m * float(np.sum(np.log(eigs[mask] / xi)))
-
-    saturated = False
     if target_rate == 0:
-        xi = lmax
-    elif rate_at(_XI_FLOOR) < target_rate:
-        xi = _XI_FLOOR
-        saturated = True
+        xi = float(pos.max())
+        rate = 0.0
     else:
-        u_lo = np.log(_XI_FLOOR)
-        u_hi = np.log(lmax)
-        for _ in range(_MAX_BISECT):
-            u_mid = 0.5 * (u_lo + u_hi)
-            if rate_at(np.exp(u_mid)) > target_rate:
-                u_lo = u_mid
-            else:
-                u_hi = u_mid
-            if u_hi - u_lo <= 1e-13:
-                break
-        xi = float(np.exp(0.5 * (u_lo + u_hi)))
+        logs = np.sort(np.log(pos))[::-1]
+        u = (np.cumsum(logs) - target_rate / m) / np.arange(1, logs.size + 1)
+        # >= rather than >: with ties, or a rate below float resolution, the
+        # level can equal the next log eigenvalue exactly
+        passing = np.flatnonzero(u[:-1] >= logs[1:])
+        k = int(passing[0]) + 1 if passing.size else logs.size
+        log_xi = float(u[k - 1])
+        xi = math.exp(log_xi)
+        rate = m * float(np.sum(logs[:k] - log_xi))
     per = np.minimum(xi, eigs)
-    return ReverseWaterfillResult(float(xi), per, m * float(per.sum()),
-                                  rate_at(xi), False, saturated)
+    return ReverseWaterfillResult(xi, per, m * float(per.sum()), rate,
+                                  False, xi == 0.0)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -5,6 +6,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cas import (ConfigError, config_from_mapping, compare_summary,
                  parse_config_file, run_point)
@@ -60,7 +63,14 @@ def test_config_validation_errors():
     with pytest.raises(ConfigError):
         config_from_mapping({"seeds": ""})
     with pytest.raises(ConfigError):
-        config_from_mapping({"grid_l": "2"})
+        config_from_mapping({"jobs": "0"})
+    # the separated solver has no grid to configure
+    for key in ("grid_l", "tol"):
+        with pytest.raises(ConfigError, match="unknown configuration key"):
+            config_from_mapping({key: "21"})
+    for mapping in ({"snr_c_db_list": "10,1000.5"}, {"snr_s_db": "-4000"}):
+        with pytest.raises(ConfigError, match=r"must lie in \[-1000, 1000\] dB"):
+            config_from_mapping(mapping)
     with pytest.raises(ConfigError):
         config_from_mapping({"n_symbols": "5"})
     with pytest.raises(ConfigError):
@@ -285,6 +295,28 @@ def test_cli_exit_codes(tmp_path, capsys):
         assert main(argv + ["--output", str(tmp_path / "y.csv")]) == 2, argv
         assert capsys.readouterr().err.startswith("configuration error: ")
         assert not (tmp_path / "y.csv").exists()
+    for argv in (["sweep", "--snr-c-db-list", "4000"],
+                 ["sweep", "--snr-s-db=-4000"]):
+        assert main(argv + ["--output", str(tmp_path / "y.csv")]) == 2, argv
+        assert "must lie in [-1000, 1000] dB" in capsys.readouterr().err
+    # a value starting with '-' is taken as the value, not as a flag
+    assert main(["sweep", "--seeds", "0", "--snr-c-db-list", "-5,0",
+                 "--scheme", "separated", "--output", str(tmp_path / "z.csv")]) == 0
+    snrs = [line.split(",")[2] for line in
+            (tmp_path / "z.csv").read_text().splitlines()[1:]]
+    assert snrs == ["-5", "0"]
+    capsys.readouterr()
+    assert main(["point", "--seeds", "0", "--snr-c-db-list", "-5,0",
+                 "--scheme", "separated"]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert [row.split(",")[2] for row in rows] == ["-5"]
+    # sensing_subchannel_distortion once rounded above var_eta here, making
+    # a source eigenvalue negative (exit 3)
+    assert main(["point", "--n-tx", "6", "--m-s", "1", "--m-c", "4",
+                 "--n-symbols", "24", "--var-eta", "0.562711567088472",
+                 "--p-total", "0.02011631395760996",
+                 "--snr-s-db=-5.702254611660248", "--seed", "35",
+                 "--snr-c-db=-0.005527540159814492"]) == 0
 
 
 def test_cli_module_entry(tmp_path):
@@ -296,13 +328,23 @@ def test_cli_module_entry(tmp_path):
     assert proc.stdout.startswith("scheme,")
 
 
-def test_import_does_not_load_scipy(tmp_path):
+def loaded_by_import(module, cwd):
+    """Whether a fresh interpreter has ``module`` loaded after ``import cas``."""
     proc = subprocess.run(
         [sys.executable, "-c",
-         "import sys, cas; print('scipy' in sys.modules)"],
-        capture_output=True, text=True, env=src_env(), cwd=str(tmp_path))
+         f"import sys, cas; print({module!r} in sys.modules)"],
+        capture_output=True, text=True, env=src_env(), cwd=str(cwd))
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    return {"True": True, "False": False}[proc.stdout.strip()]
+
+
+def test_import_does_not_load_scipy(tmp_path):
+    assert not loaded_by_import("scipy", tmp_path)
+
+
+def test_import_does_not_load_process_pool(tmp_path):
+    # the pool is only needed for jobs > 1; a serial run should not pay for it
+    assert not loaded_by_import("concurrent.futures.process", tmp_path)
 
 
 def test_parallel_jobs_match_serial(tmp_path):
@@ -311,3 +353,49 @@ def test_parallel_jobs_match_serial(tmp_path):
     a = render_records(collect_sweep(serial), "csv")
     b = render_records(collect_sweep(parallel), "csv")
     assert a == b
+
+
+# sha256 of the default `cas sweep` CSV; a change here is a change in output
+# and is explained in CHANGES.md
+DEFAULT_SWEEP_SHA256 = (
+    "fc8f28fa1b90c5dc4165799fb9fa89d0bbef34c206b4eea99db40dfee0278c89")
+
+
+def test_default_sweep_bytes(tmp_path, monkeypatch):
+    monkeypatch.delenv("CAS_SEED_OFFSET", raising=False)
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--output", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == DEFAULT_SWEEP_SHA256
+
+
+@st.composite
+def system_mappings(draw):
+    """Configurations over the whole documented space, one seed and SNR each."""
+    n_tx = draw(st.integers(1, 16))
+    return {
+        "n_tx": n_tx,
+        "m_s": draw(st.integers(1, 8)),
+        "m_c": draw(st.integers(1, 8)),
+        "n_symbols": draw(st.integers(n_tx, 4 * n_tx + 1)),
+        "var_eta": 10.0 ** draw(st.floats(-3.0, 2.0)),
+        "p_total": 10.0 ** draw(st.floats(-2.0, 2.0)),
+        "snr_s_db": draw(st.floats(-30.0, 90.0)),
+        "snr_c_db_list": [draw(st.floats(-30.0, 60.0))],
+        "seeds": [draw(st.integers(0, 999))],
+    }
+
+
+@settings(max_examples=30)
+@example({"n_tx": 6, "m_s": 1, "m_c": 4, "n_symbols": 24,
+          "var_eta": 0.562711567088472, "p_total": 0.02011631395760996,
+          "snr_s_db": -5.702254611660248, "seeds": [35],
+          "snr_c_db_list": [-0.005527540159814492]})
+@given(mapping=system_mappings())
+def test_run_point_invariants_over_config_space(mapping):
+    cfg = config_from_mapping(mapping)
+    records = run_point(cfg, cfg.seeds[0], cfg.snr_c_db_list[0])
+    assert sorted(r.scheme for r in records) == ["dual", "separated"]
+    ceiling = cfg.system.m_s * cfg.system.n_tx * cfg.system.var_eta
+    for rec in records:
+        assert rec.d_sc == rec.d_s + rec.d_c
+        assert 0.0 <= rec.d_sc <= ceiling

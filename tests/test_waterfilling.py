@@ -9,7 +9,7 @@ from cas import reverse_waterfill, uniform_allocation, waterfill_capacity
 
 
 def sorted_waterfill_oracle(p_c, alphas):
-    """Exact sorting-based water-filling, independent of the bisection solver."""
+    """Exact sorting-based water-filling, a loop over k written apart from the solver."""
     a = np.asarray(alphas, float)
     lam = np.zeros_like(a)
     pos = np.flatnonzero(a > 0)
@@ -65,10 +65,23 @@ def test_waterfill_equal_gains_splits_evenly():
 
 
 def test_waterfill_zero_budget():
-    res = waterfill_capacity(0.0, np.array([1.0, 2.0]))
-    assert res.alloc.total == 0.0
-    assert res.capacity == 0.0
-    assert not res.degenerate
+    # one-ulp apart gains: rounding of a prefix-sum level must not leak power
+    for a in ([1.0, 2.0], [2.0, 2.0, float(np.nextafter(2.0, 3.0))]):
+        res = waterfill_capacity(0.0, np.array(a))
+        assert res.alloc.total == 0.0
+        assert res.capacity == 0.0
+        assert res.kkt_residual == 0.0
+        assert not res.degenerate
+
+
+def test_waterfill_tiny_budget_is_kept():
+    # a budget below the float spacing of the floors must not round away
+    for p_c in (1e-20, 1e-300):
+        for a in ([1.0], [0.1, 0.1, 0.1], [3.0, 3.0, 0.5, 0.0],
+                  [2.0, float(np.nextafter(2.0, 3.0))]):
+            res = waterfill_capacity(p_c, np.array(a))
+            assert res.alloc.total == pytest.approx(p_c, rel=1e-12)
+            assert res.kkt_residual <= 1e-8
 
 
 def test_waterfill_dead_channel_degenerate():
@@ -121,6 +134,52 @@ def test_waterfill_budget_and_kkt(arrs, p_c):
     active = 1.0 / a[a > 0]
     expected = np.maximum(res.level - active, 0.0)
     assert np.allclose(lam[a > 0], expected, rtol=1e-12, atol=1e-15)
+
+
+# few distinct values, so draws often tie or differ by one ulp
+_TIED = st.sampled_from([0.0, 0.05, 0.5, 1.0, 2.0, float(np.nextafter(2.0, 3.0)), 30.0])
+
+
+@given(arrs=st.lists(_TIED, min_size=1, max_size=8),
+       p_c=st.one_of(st.floats(1e-3, 10.0), st.just(0.0)))
+def test_waterfill_matches_oracle_with_ties(arrs, p_c):
+    a = np.array(arrs)
+    res = waterfill_capacity(p_c, a)
+    if res.degenerate:
+        assert not (a > 0).any()
+        return
+    expected = sorted_waterfill_oracle(p_c, a)
+    assert np.allclose(res.alloc.lambdas, expected, rtol=1e-12, atol=1e-14)
+    assert res.kkt_residual <= 1e-8
+
+
+@given(eigs=st.lists(st.sampled_from([0.0, 1e-3, 0.02, 0.05,
+                                     float(np.nextafter(0.05, 1.0)), 0.5]),
+                     min_size=1, max_size=8),
+       mult=st.integers(1, 6),
+       frac=st.one_of(st.just(0.0), st.floats(1e-9, 1.0)))
+def test_reverse_matches_rate_oracle_with_ties(eigs, mult, frac):
+    eigs = np.array(eigs)
+    if not (eigs > 0).any():
+        return
+    xi_true = frac * eigs.max()
+    rate = reverse_rate_oracle(eigs, mult, xi_true) if xi_true > 0 else 0.0
+    res = reverse_waterfill(eigs, mult, rate)
+    assert not res.saturated
+    assert res.rate == pytest.approx(rate, rel=1e-12, abs=1e-12)
+    if rate > 0:
+        assert res.xi == pytest.approx(xi_true, rel=1e-12)
+        assert reverse_rate_oracle(eigs, mult, res.xi) == pytest.approx(rate, rel=1e-9)
+    assert res.d_c == mult * float(np.minimum(res.xi, eigs).sum())
+
+
+def test_reverse_rate_below_float_resolution():
+    eigs = np.array([0.05, 0.0, 0.05, 0.02])
+    res = reverse_waterfill(eigs, 3, 1e-300)
+    assert res.xi == pytest.approx(0.05, rel=1e-15)
+    assert res.rate == pytest.approx(1e-300, abs=1e-15)
+    assert res.d_c == pytest.approx(3 * eigs.sum(), rel=1e-15)
+    assert not (res.saturated or res.degenerate)
 
 
 def test_waterfill_capacity_monotone_concave_in_budget():
@@ -207,9 +266,10 @@ def test_reverse_degenerate_and_saturated():
     res = reverse_waterfill(np.zeros(3), 5, 7.0)
     assert res.degenerate
     assert res.d_c == 0.0 and res.rate == 0.0
-    sat = reverse_waterfill(np.array([0.05, 0.02]), 1, 1e6)
+    sat = reverse_waterfill(np.array([0.05, 0.0, 0.02]), 1, 1e6)
     assert sat.saturated
-    assert sat.d_c < 1e-290
+    assert sat.xi == 0.0 and sat.d_c == 0.0
+    assert sat.rate == pytest.approx(1e6, rel=1e-12)
 
 
 def test_reverse_input_validation():
