@@ -355,17 +355,38 @@ def test_parallel_jobs_match_serial(tmp_path):
     assert a == b
 
 
-# sha256 of the default `cas sweep` CSV; a change here is a change in output
-# and is explained in CHANGES.md
+# sha256 of `cas` outputs; a change here is a change in output and is
+# explained in CHANGES.md.  Together they cover the serializer, the sweep
+# and curve records, the single warm start and the trace rows.
 DEFAULT_SWEEP_SHA256 = (
     "fc8f28fa1b90c5dc4165799fb9fa89d0bbef34c206b4eea99db40dfee0278c89")
+OUTPUT_SHA256 = {
+    "sweep --format json":
+        "c18003871c68558383e68f01ef04f8cf8727b7be8302fb3ef9f3a4ca87fcedd9",
+    "sweep --scheme separated --curve-points 101 --seeds 0,1,2":
+        "186bdb719bd236978afc06fe7a9d7ed19a697aca9e1c9ff640d4041899586a22",
+    "sweep --dual-init sensing --seeds 0,1,2,3 --snr-s-db 60":
+        "e44bd2725168b072f66f0705a46b36f65dc38ea054c3c84143cdc688d9c2a92a",
+    "trace --seed 0 --snr-c-db-list=-5,0,10,20":
+        "dc1ebc77d0adbb0b53a33e5099cb240f6d0417f15dad4896a9a0de0b06850e40",
+}
+
+
+def output_sha256(argv, tmp_path, monkeypatch):
+    monkeypatch.delenv("CAS_SEED_OFFSET", raising=False)
+    out = tmp_path / "out"
+    assert main(argv + ["--output", str(out)]) == 0
+    return hashlib.sha256(out.read_bytes()).hexdigest()
 
 
 def test_default_sweep_bytes(tmp_path, monkeypatch):
-    monkeypatch.delenv("CAS_SEED_OFFSET", raising=False)
-    out = tmp_path / "sweep.csv"
-    assert main(["sweep", "--output", str(out)]) == 0
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == DEFAULT_SWEEP_SHA256
+    assert output_sha256(["sweep"], tmp_path, monkeypatch) == DEFAULT_SWEEP_SHA256
+
+
+@pytest.mark.parametrize("command", sorted(OUTPUT_SHA256))
+def test_output_bytes(command, tmp_path, monkeypatch):
+    assert (output_sha256(command.split(), tmp_path, monkeypatch)
+            == OUTPUT_SHA256[command])
 
 
 @st.composite
