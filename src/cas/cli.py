@@ -92,23 +92,34 @@ def _point_records(cfg):
                                   cfg.snr_c_db_list[0]))
 
 
+def _flagged_exit(records) -> int:
+    """0, or 3 after naming the flagged records (at most 20) and their count on stderr."""
+    flagged = [r for r in records if r.flagged]
+    for r in flagged[:20]:
+        reason = ("dead link (all channel gains zero)" if r.converged
+                  else "dual search stopped at the iteration cap")
+        print(f"flagged: scheme {r.scheme}, seed {r.seed}, "
+              f"snr_c_db {r.snr_c_db:.12g}: {reason}", file=sys.stderr)
+    if flagged:
+        print(f"flagged records: {len(flagged)}", file=sys.stderr)
+    return 3 if flagged else 0
+
+
 def _cmd_point(cfg, args) -> int:
     if args.output is not None:
         records = write_output(cfg, _point_records, render_records)
     else:
         records = _point_records(cfg)
         sys.stdout.write(render_records(records, cfg.output_format))
-    return 3 if any(r.flagged for r in records) else 0
+    return _flagged_exit(records)
 
 
 def _cmd_sweep(cfg, command) -> int:
     records = write_output(cfg, collect_sweep, render_records)
     if command == "compare":
         print(compare_summary(records))
-    flagged = sum(1 for r in records if r.flagged)
-    print(f"wrote {cfg.output_path}"
-          + (f" ({flagged} flagged records)" if flagged else ""))
-    return 3 if flagged else 0
+    print(f"wrote {cfg.output_path}")
+    return _flagged_exit(records)
 
 
 def main(argv=None) -> int:

@@ -14,9 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (DistortionReport, PowerAllocation, SystemConfig,
-                    assemble_report, capacity_eigform, sensing_distortion,
-                    source_eigenvalue)
-from .waterfilling import reverse_waterfill, uniform_allocation, waterfill_capacity
+                    capacity_eigform)
+from .waterfilling import evaluate, uniform_allocation, waterfill_capacity
 
 INIT_SENSING = "sensing_optimal"
 INIT_COMMUNICATION = "communication_optimal"
@@ -53,11 +52,7 @@ def evaluate_dual(alloc: PowerAllocation, cfg: SystemConfig, alphas) -> Distorti
             f"allocation length {len(alloc)} does not match n_tx {cfg.n_tx}"
         )
     alloc.check_budget(cfg.p_total)
-    d_s = sensing_distortion(alloc, cfg)
-    eta = source_eigenvalue(alloc.lambdas, cfg)
-    capacity = capacity_eigform(alloc, alphas)
-    rwf = reverse_waterfill(eta, cfg.m_s, capacity)
-    return assemble_report(d_s, rwf.d_c, capacity, rwf.xi, eta)
+    return evaluate(alloc, capacity_eigform(alloc, alphas), cfg)
 
 
 def capacity_gradient(alloc: PowerAllocation, alphas) -> np.ndarray:
@@ -83,15 +78,15 @@ def gradient_step(alloc: PowerAllocation, beta: float, alphas,
 
 
 def optimize_dual(cfg: SystemConfig, alphas, init_kind: str = INIT_SENSING,
-                  eps: float | None = None, beta0: float | None = None,
+                  eps: float | None = None,
                   max_iters: int = 500) -> DualSolution:
     """Descent on the dual-functional profile from one warm start.
 
     Stops when an accepted step improves the objective by at most eps
     (default 1e-8 of the zero-power distortion ceiling), when no halved step
     size down to 1e-12 improves it at all, or at max_iters.  The base step
-    beta0 defaults to p_total / l1-norm of the initial gradient so the first
-    trial step moves a budget-sized amount.
+    is p_total / l1-norm of the initial gradient so the first trial step
+    moves a budget-sized amount.
     """
     if init_kind == INIT_SENSING:
         alloc = uniform_allocation(cfg.p_total, cfg.n_tx)
@@ -105,17 +100,14 @@ def optimize_dual(cfg: SystemConfig, alphas, init_kind: str = INIT_SENSING,
         raise ValueError("eps must be positive")
     if max_iters < 1:
         raise ValueError("max_iters must be positive")
-    if beta0 is not None and not beta0 > 0:
-        raise ValueError("beta0 must be positive")
 
     report = evaluate_dual(alloc, cfg, alphas)
     trace = [report.d_sc]
     g0 = float(np.abs(capacity_gradient(alloc, alphas)).sum())
-    if beta0 is None:
-        if g0 == 0:
-            # dead link: the rate is identically zero, nothing to trade
-            return DualSolution(alloc, report, 0, np.asarray(trace), init_kind, True)
-        beta0 = cfg.p_total / g0
+    if g0 == 0:
+        # dead link: the rate is identically zero, nothing to trade
+        return DualSolution(alloc, report, 0, np.asarray(trace), init_kind, True)
+    beta0 = cfg.p_total / g0
 
     converged = True
     for _ in range(max_iters):
@@ -141,14 +133,12 @@ def optimize_dual(cfg: SystemConfig, alphas, init_kind: str = INIT_SENSING,
                         init_kind, converged)
 
 
-def optimize_dual_best(cfg: SystemConfig, alphas, eps: float | None = None,
-                       beta0: float | None = None,
-                       max_iters: int = 500) -> DualSolution:
+def optimize_dual_best(cfg: SystemConfig, alphas,
+                       eps: float | None = None) -> DualSolution:
     """Run both warm starts and keep whichever ends lower (ties: sensing start)."""
     best = None
     for kind in (INIT_SENSING, INIT_COMMUNICATION):
-        sol = optimize_dual(cfg, alphas, init_kind=kind, eps=eps, beta0=beta0,
-                            max_iters=max_iters)
+        sol = optimize_dual(cfg, alphas, init_kind=kind, eps=eps)
         if best is None or sol.report.d_sc < best.report.d_sc:
             best = sol
     return best

@@ -22,8 +22,8 @@ from .channel import alphas_from_channel, generate_rayleigh
 from .dual import (INIT_COMMUNICATION, INIT_SENSING, optimize_dual,
                    optimize_dual_best)
 from .model import SystemConfig, noise_var_from_snr
-from .separated import evaluate_split, optimize_separated
-from .waterfilling import waterfill_capacity
+from .separated import optimize_separated
+from .waterfilling import evaluate, uniform_allocation, waterfill_capacity
 
 SCHEMES = ("separated", "dual", "both")
 DUAL_INITS = ("sensing", "communication", "best")
@@ -79,7 +79,7 @@ class ExperimentConfig:
 
 @dataclass(slots=True, eq=False)
 class SweepRecord:
-    """One solved point of a sweep; flagged marks numeric degeneracy out of band.
+    """One solved point of a sweep; flagged marks a dead link or an unconverged search.
 
     alloc_summary is the solver's read-only eigenvalue array, kept as is
     rather than copied into Python floats, so a sweep's records stay small.
@@ -97,7 +97,7 @@ class SweepRecord:
     iterations: int
     converged: bool
     alloc_summary: np.ndarray
-    flagged: bool = False
+    flagged: bool
 
 
 _EXPERIMENT_FIELDS = tuple(f for f in fields(ExperimentConfig) if f.name != "system")
@@ -109,35 +109,24 @@ DEFAULTS = {
     **{f.name: f.default for f in _EXPERIMENT_FIELDS},
 }
 
-_INT_KEYS = ("n_tx", "m_s", "m_c", "n_symbols", "jobs", "curve_points")
-_FLOAT_KEYS = ("var_eta", "p_total", "snr_s_db")
-_OPT_FLOAT_KEYS = ("eps",)
-_STR_KEYS = ("scheme", "dual_init", "output_path", "output_format")
-
 
 def _coerce(key, value):
+    """``value`` as the type of the key's default; a None default is an optional float."""
+    if key not in DEFAULTS:
+        raise ConfigError(f"unknown configuration key {key!r}")
+    default = DEFAULTS[key]
     try:
-        if key in _INT_KEYS:
-            return int(value)
-        if key in _FLOAT_KEYS:
-            return float(value)
-        if key in _OPT_FLOAT_KEYS:
+        if default is None:
             if value is None or (isinstance(value, str) and value.lower() in ("", "none")):
                 return None
             return float(value)
-        if key == "snr_c_db_list":
+        if isinstance(default, tuple):
             if isinstance(value, str):
                 value = value.split(",")
-            return tuple(float(v) for v in value)
-        if key == "seeds":
-            if isinstance(value, str):
-                value = value.split(",")
-            return tuple(int(v) for v in value)
-        if key in _STR_KEYS:
-            return str(value)
+            return tuple(type(default[0])(v) for v in value)
+        return type(default)(value)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid value for {key}: {value!r}") from exc
-    raise ConfigError(f"unknown configuration key {key!r}")
 
 
 def _check_snr(key: str, snr: float) -> None:
@@ -154,8 +143,6 @@ def config_from_mapping(mapping: dict) -> ExperimentConfig:
     """
     merged = dict(DEFAULTS)
     for key, value in mapping.items():
-        if key not in DEFAULTS:
-            raise ConfigError(f"unknown configuration key {key!r}")
         merged[key] = _coerce(key, value)
     _check_snr("snr_s_db", merged["snr_s_db"])
     for snr in merged["snr_c_db_list"]:
@@ -218,43 +205,37 @@ def run_point(cfg: ExperimentConfig, seed: int, snr_c_db: float) -> list:
         ch = generate_rayleigh(seed, sys_cfg.m_c, sys_cfg.n_tx)
         alphas = alphas_from_channel(ch, sys_cfg)
         dead_link = not bool(np.any(alphas > 0))
+
+        def record(scheme, p_s, report, iterations, converged, lambdas):
+            return SweepRecord(
+                scheme=scheme, seed=int(seed), snr_c_db=float(snr_c_db),
+                p_s=p_s, d_s=report.d_s, d_c=report.d_c, d_sc=report.d_sc,
+                capacity=report.capacity, iterations=iterations,
+                converged=converged, alloc_summary=lambdas,
+                flagged=dead_link or not converged)
+
         records = []
         if cfg.scheme in ("separated", "both"):
             sol = optimize_separated(sys_cfg, alphas)
-            records.append(SweepRecord(
-                scheme="separated", seed=int(seed), snr_c_db=float(snr_c_db),
-                p_s=sol.p_s, d_s=sol.report.d_s, d_c=sol.report.d_c,
-                d_sc=sol.report.d_sc, capacity=sol.report.capacity,
-                iterations=sol.evaluations, converged=True,
-                alloc_summary=sol.comm_alloc.lambdas,
-                flagged=dead_link))
+            records.append(record("separated", sol.p_s, sol.report,
+                                  sol.evaluations, True, sol.comm_alloc.lambdas))
         if cfg.scheme in ("dual", "both"):
             if cfg.dual_init == "best":
                 dsol = optimize_dual_best(sys_cfg, alphas, eps=cfg.eps)
             else:
                 kind = INIT_SENSING if cfg.dual_init == "sensing" else INIT_COMMUNICATION
                 dsol = optimize_dual(sys_cfg, alphas, init_kind=kind, eps=cfg.eps)
-            records.append(SweepRecord(
-                scheme="dual", seed=int(seed), snr_c_db=float(snr_c_db),
-                p_s=dsol.alloc.total, d_s=dsol.report.d_s, d_c=dsol.report.d_c,
-                d_sc=dsol.report.d_sc, capacity=dsol.report.capacity,
-                iterations=dsol.iterations, converged=dsol.converged,
-                alloc_summary=dsol.alloc.lambdas,
-                flagged=dead_link or not dsol.converged))
+            records.append(record("dual", dsol.alloc.total, dsol.report,
+                                  dsol.iterations, dsol.converged,
+                                  dsol.alloc.lambdas))
         if cfg.curve_points > 0 and cfg.scheme in ("separated", "both"):
             for p in np.linspace(0.0, sys_cfg.p_total, cfg.curve_points):
-                rep = evaluate_split(p, sys_cfg, alphas)
                 wf = waterfill_capacity(max(sys_cfg.p_total - p, 0.0), alphas)
-                records.append(SweepRecord(
-                    scheme="separated_grid", seed=int(seed),
-                    snr_c_db=float(snr_c_db), p_s=float(p), d_s=rep.d_s,
-                    d_c=rep.d_c, d_sc=rep.d_sc, capacity=rep.capacity,
-                    iterations=0, converged=True,
-                    alloc_summary=wf.alloc.lambdas,
-                    flagged=dead_link))
+                rep = evaluate(uniform_allocation(p, sys_cfg.n_tx), wf.capacity,
+                               sys_cfg)
+                records.append(record("separated_grid", float(p), rep, 0, True,
+                                      wf.alloc.lambdas))
         return records
-    except ConfigError:
-        raise
     except (ValueError, ArithmeticError, np.linalg.LinAlgError) as exc:
         raise RuntimeError(
             f"point failed (seed={seed}, snr_c_db={snr_c_db}): {exc}") from exc
@@ -269,28 +250,18 @@ def _fmt(value: float) -> str:
     return f"{float(value):.12g}"
 
 
-def _csv_cell(value) -> str:
+def _cell(value, csv_text: bool):
+    """One value as CSV text, or as a JSON value when csv_text is false."""
     if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
+        return ("true" if value else "false") if csv_text else bool(value)
     if isinstance(value, (int, np.integer)):
-        return str(int(value))
+        return str(int(value)) if csv_text else int(value)
     if isinstance(value, (float, np.floating)):
-        return _fmt(value)
+        return _fmt(value) if csv_text else float(_fmt(value))
     if isinstance(value, np.ndarray):
-        return ";".join(_csv_cell(v) for v in value.tolist())
-    return str(value)
-
-
-def _json_value(value):
-    if isinstance(value, (bool, np.bool_)):
-        return bool(value)
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    if isinstance(value, (float, np.floating)):
-        return float(_fmt(value))
-    if isinstance(value, np.ndarray):
-        return [_json_value(v) for v in value.tolist()]
-    return value
+        cells = [_cell(v, csv_text) for v in value.tolist()]
+        return ";".join(cells) if csv_text else cells
+    return str(value) if csv_text else value
 
 
 def _render_rows(columns: tuple, rows, output_format: str) -> str:
@@ -303,17 +274,12 @@ def _render_rows(columns: tuple, rows, output_format: str) -> str:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(columns)
-        writer.writerows([_csv_cell(v) for v in row] for row in rows)
+        writer.writerows([_cell(v, True) for v in row] for row in rows)
         return buf.getvalue()
     if output_format == "json":
-        objs = [{c: _json_value(v) for c, v in zip(columns, row)} for row in rows]
+        objs = [{c: _cell(v, False) for c, v in zip(columns, row)} for row in rows]
         return json.dumps(objs, indent=2) + "\n"
     raise ConfigError(f"output_format must be one of {OUTPUT_FORMATS}")
-
-
-def _record_values(rec: SweepRecord) -> tuple:
-    """A record's values in CSV_COLUMNS order."""
-    return tuple(getattr(rec, column) for column in CSV_COLUMNS)
 
 
 def sort_records(records: list) -> list:
@@ -322,8 +288,8 @@ def sort_records(records: list) -> list:
 
 def render_records(records: list, output_format: str) -> str:
     """Serialize sorted records to CSV or JSON text, floats at 12 significant digits."""
-    return _render_rows(CSV_COLUMNS, [_record_values(r) for r in records],
-                        output_format)
+    rows = [tuple(getattr(r, column) for column in CSV_COLUMNS) for r in records]
+    return _render_rows(CSV_COLUMNS, rows, output_format)
 
 
 def collect_sweep(cfg: ExperimentConfig) -> list:

@@ -76,9 +76,9 @@ class PowerAllocation:
     def total(self) -> float:
         return float(self.lambdas.sum())
 
-    def check_budget(self, p_total: float, rel_tol: float = 1e-9) -> None:
-        """Raise if the allocation spends more than ``p_total`` (relative slack)."""
-        if self.total > p_total * (1.0 + rel_tol):
+    def check_budget(self, p_total: float) -> None:
+        """Raise if the allocation spends more than ``p_total`` (relative slack 1e-9)."""
+        if self.total > p_total * (1.0 + 1e-9):
             raise ValueError(
                 f"allocation spends {self.total:.12g} > budget {p_total:.12g}"
             )
@@ -92,14 +92,14 @@ class DistortionReport:
     exactly in floating point.  source_eigs are the per-eigenchannel
     variances of the estimate handed to the forwarding stage (length n_tx,
     each conceptually repeated m_s times).  capacity may be math.inf for an
-    idealized unconstrained link.
+    idealized unconstrained link.  xi is their reverse water level.
     """
 
     d_s: float
     d_c: float
     d_sc: float
     capacity: float
-    xi_inverse: float
+    xi: float
     source_eigs: np.ndarray
 
     def __post_init__(self):
@@ -184,6 +184,6 @@ def assemble_report(d_s: float, d_c: float, capacity: float, xi: float,
         d_c=float(d_c),
         d_sc=float(d_s) + float(d_c),
         capacity=float(capacity),
-        xi_inverse=float(xi),
+        xi=float(xi),
         source_eigs=eigs,
     )

@@ -16,9 +16,8 @@ import math
 from dataclasses import dataclass
 
 from .model import (DistortionReport, PowerAllocation, SystemConfig,
-                    assemble_report, sensing_distortion,
-                    sensing_subchannel_distortion, source_eigenvalue)
-from .waterfilling import reverse_waterfill, uniform_allocation, waterfill_capacity
+                    sensing_subchannel_distortion)
+from .waterfilling import evaluate, uniform_allocation, waterfill_capacity
 
 
 @dataclass(frozen=True)
@@ -46,12 +45,8 @@ def evaluate_split(p_s: float, cfg: SystemConfig, alphas) -> DistortionReport:
     if not (-slack <= p_s <= cfg.p_total + slack):
         raise ValueError(f"p_s must lie in [0, p_total], got {p_s!r}")
     p_s = min(max(float(p_s), 0.0), cfg.p_total)
-    s_alloc = uniform_allocation(p_s, cfg.n_tx)
-    d_s = sensing_distortion(s_alloc, cfg)
-    eta = source_eigenvalue(s_alloc.lambdas, cfg)
     wf = waterfill_capacity(max(cfg.p_total - p_s, 0.0), alphas)
-    rwf = reverse_waterfill(eta, cfg.m_s, wf.capacity)
-    return assemble_report(d_s, rwf.d_c, wf.capacity, rwf.xi, eta)
+    return evaluate(uniform_allocation(p_s, cfg.n_tx), wf.capacity, cfg)
 
 
 def split_slope(p_s: float, cfg: SystemConfig, alphas) -> float:
@@ -76,9 +71,10 @@ def optimize_separated(cfg: SystemConfig, alphas) -> SeparatedSolution:
     link; bisection on its sign keeps a bracket with a negative slope at the
     left end and a nonnegative one at the right end until the two ends are
     adjacent floats (about 55 evaluations), so the result is a local minimum.
-    Of the two ends, the one with the smaller |slope| is returned,
-    re-evaluated through evaluate_split.  On a dead link (all gains zero)
-    d_sc does not depend on the split, and p_s = 0 is returned with slope 0.
+    Of the two ends, the one with the smaller |slope| is returned, with one
+    water-filling at its p_c giving both comm_alloc and the report's rate.
+    On a dead link (all gains zero) d_sc does not depend on the split, and
+    p_s = 0 is returned with slope 0.
     """
     if waterfill_capacity(cfg.p_total, alphas).degenerate:
         p_s, slope, evals = 0.0, 0.0, 0
@@ -105,12 +101,14 @@ def optimize_separated(cfg: SystemConfig, alphas) -> SeparatedSolution:
             p_s, slope = (lo, s_lo) if -s_lo <= s_hi else (hi, s_hi)
 
     p_c = cfg.p_total - p_s
+    sensing_alloc = uniform_allocation(p_s, cfg.n_tx)
+    wf = waterfill_capacity(p_c, alphas)
     return SeparatedSolution(
         p_s=p_s,
         p_c=p_c,
-        report=evaluate_split(p_s, cfg, alphas),
-        sensing_alloc=uniform_allocation(p_s, cfg.n_tx),
-        comm_alloc=waterfill_capacity(p_c, alphas).alloc,
+        report=evaluate(sensing_alloc, wf.capacity, cfg),
+        sensing_alloc=sensing_alloc,
+        comm_alloc=wf.alloc,
         slope=slope,
         evaluations=evals,
     )

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import PowerAllocation
+from .model import (DistortionReport, PowerAllocation, SystemConfig,
+                    assemble_report, sensing_distortion, source_eigenvalue)
 
 
 @dataclass(frozen=True)
@@ -188,3 +189,12 @@ def reverse_waterfill(source_eigs, multiplicity: int,
     per = np.minimum(xi, eigs)
     return ReverseWaterfillResult(xi, per, m * float(per.sum()), rate,
                                   False, xi == 0.0)
+
+
+def evaluate(alloc: PowerAllocation, capacity: float,
+             cfg: SystemConfig) -> DistortionReport:
+    """Distortion of sensing with ``alloc`` and forwarding at ``capacity``, for both schemes."""
+    eta = source_eigenvalue(alloc.lambdas, cfg)
+    rwf = reverse_waterfill(eta, cfg.m_s, capacity)
+    return assemble_report(sensing_distortion(alloc, cfg), rwf.d_c, capacity,
+                           rwf.xi, eta)

@@ -145,5 +145,3 @@ def test_optimize_dual_validation(cfg10):
         optimize_dual(cfg10, alphas, eps=0.0)
     with pytest.raises(ValueError):
         optimize_dual(cfg10, alphas, max_iters=0)
-    with pytest.raises(ValueError):
-        optimize_dual(cfg10, alphas, beta0=-1.0)

@@ -10,7 +10,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cas import (ConfigError, config_from_mapping, compare_summary,
-                 parse_config_file, run_point)
+                 optimize_dual, parse_config_file, run_point)
+from cas import experiment
 from cas.cli import main
 from cas.experiment import (CSV_COLUMNS, TRACE_COLUMNS, collect_sweep,
                             render_records, write_output)
@@ -75,6 +76,8 @@ def test_config_validation_errors():
         config_from_mapping({"n_symbols": "5"})
     with pytest.raises(ConfigError):
         config_from_mapping({"var_eta": "abc"})
+    with pytest.raises(ConfigError):
+        config_from_mapping({"eps": "abc"})
 
 
 def test_config_file_parsing(tmp_path):
@@ -85,12 +88,17 @@ def test_config_file_parsing(tmp_path):
         "seeds = 0, 1   # trailing comment\n"
         "snr_c_db_list = 5,15\n"
         "scheme = separated\n"
+        "eps = 1e-9\n"
         "\n")
     cfg = config_from_mapping(parse_config_file(str(path)))
     assert cfg.system.n_tx == 4
     assert cfg.seeds == (0, 1)
     assert cfg.snr_c_db_list == (5.0, 15.0)
     assert cfg.scheme == "separated"
+    assert cfg.eps == 1e-9
+    # eps defaults to None, so "none" (any case) or None leaves it unset
+    for unset in ("None", "", None):
+        assert config_from_mapping({"eps": unset}).eps is None
     bad = tmp_path / "bad.cfg"
     bad.write_text("just a line without equals\n")
     with pytest.raises(ConfigError):
@@ -277,7 +285,7 @@ def test_cli_config_file_and_flag_precedence(tmp_path, capsys):
     assert "dual" in body and "separated" not in body
 
 
-def test_cli_exit_codes(tmp_path, capsys):
+def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
     assert main(["sweep", "--scheme", "bogus",
                  "--output", str(tmp_path / "x.csv")]) == 2
     assert main(["sweep", "--seeds", "0", "--snr-c-db-list", "10",
@@ -317,6 +325,30 @@ def test_cli_exit_codes(tmp_path, capsys):
                  "--p-total", "0.02011631395760996",
                  "--snr-s-db=-5.702254611660248", "--seed", "35",
                  "--snr-c-db=-0.005527540159814492"]) == 0
+    # exit 3 names each flagged record (at most 20) with its reason on stderr
+    monkeypatch.setattr(experiment, "optimize_dual_best",
+                        lambda cfg, alphas, eps=None: optimize_dual(
+                            cfg, alphas, eps=1e-300, max_iters=1))
+    capsys.readouterr()
+    assert main(["point", "--seed", "0", "--snr-c-db", "10"]) == 3
+    assert capsys.readouterr().err.splitlines() == [
+        "flagged: scheme dual, seed 0, snr_c_db 10: "
+        "dual search stopped at the iteration cap",
+        "flagged records: 1"]
+    assert main(["sweep", "--scheme", "dual", "--seeds",
+                 ",".join(str(s) for s in range(25)), "--snr-c-db-list", "10",
+                 "--output", str(tmp_path / "f.csv")]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 21 and err[-1] == "flagged records: 25"
+    assert err[19].startswith("flagged: scheme dual, seed 19, snr_c_db 10: ")
+    monkeypatch.setattr(experiment, "alphas_from_channel",
+                        lambda channel, cfg: np.zeros(cfg.n_tx))
+    assert main(["point", "--seed", "3", "--snr-c-db=-5",
+                 "--scheme", "separated"]) == 3
+    assert capsys.readouterr().err.splitlines() == [
+        "flagged: scheme separated, seed 3, snr_c_db -5: "
+        "dead link (all channel gains zero)",
+        "flagged records: 1"]
 
 
 def test_cli_module_entry(tmp_path):

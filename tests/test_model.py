@@ -143,7 +143,7 @@ def test_assemble_report(cfg10):
     assert rep.d_sc == rep.d_s + rep.d_c
     assert rep.d_sc == 3.75
     assert rep.capacity == 10.0
-    assert rep.xi_inverse == 0.025
+    assert rep.xi == 0.025
     # ideal link sentinel
     rep_inf = assemble_report(2.5, 0.0, math.inf, 0.0, eigs)
     assert rep_inf.d_sc == 2.5 and math.isinf(rep_inf.capacity)
@@ -160,4 +160,4 @@ def test_assemble_report(cfg10):
 def test_report_identity_enforced():
     with pytest.raises(ValueError):
         DistortionReport(d_s=1.0, d_c=1.0, d_sc=2.0000001, capacity=0.0,
-                         xi_inverse=0.0, source_eigs=np.zeros(2))
+                         xi=0.0, source_eigs=np.zeros(2))
