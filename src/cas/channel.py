@@ -1,10 +1,9 @@
 """Seeded channel generation, waveform covariances and estimation oracles.
 
-Randomness is split into three fixed streams so the channel draw, waveform
-sampling and Monte Carlo trials never share state:
+Randomness is split into fixed streams so the channel draw and the Monte
+Carlo trials never share state:
 
     stream 0: communication channel entries
-    stream 1: waveform sample paths
     stream 2: Monte Carlo estimation trials (one child per trial)
 
 Each generator is seeded with (stream, user seed, extra keys), so any result
@@ -18,7 +17,7 @@ import numpy as np
 from .model import PowerAllocation, SystemConfig
 
 _STREAM_CHANNEL = 0
-_STREAM_WAVEFORM = 1
+# stream 1 is unused: renumbering the Monte Carlo stream would change its draws
 _STREAM_MC = 2
 
 
@@ -55,28 +54,6 @@ class CommChannel:
             raise ValueError("gram_eigs must be nonnegative and descending")
 
 
-@dataclass(frozen=True)
-class WaveformCovariance:
-    """Hermitian PSD transmit sample covariance with its spent power."""
-
-    matrix: np.ndarray
-    trace_power: float
-
-    def __post_init__(self):
-        mat = np.array(self.matrix, dtype=complex)
-        mat.setflags(write=False)
-        object.__setattr__(self, "matrix", mat)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise ValueError("covariance must be square")
-        scale = max(1.0, float(np.abs(mat).max()))
-        if float(np.abs(mat - mat.conj().T).max()) > 1e-12 * scale:
-            raise ValueError("covariance must be Hermitian")
-        if float(np.linalg.eigvalsh(mat).min()) < -1e-12 * scale:
-            raise ValueError("covariance must be positive semidefinite")
-        if abs(float(np.trace(mat).real) - self.trace_power) > 1e-9 * max(1.0, self.trace_power):
-            raise ValueError("trace_power must match the matrix trace")
-
-
 def generate_rayleigh(seed: int, m_c: int, n_tx: int) -> CommChannel:
     """Draw an i.i.d. unit-variance complex Gaussian m_c x n_tx channel."""
     if m_c < 1 or n_tx < 1:
@@ -96,8 +73,8 @@ def alphas_from_channel(channel: CommChannel, cfg: SystemConfig) -> np.ndarray:
     return cfg.n_symbols * channel.gram_eigs / cfg.var_c
 
 
-def covariance_from_alloc(alloc: PowerAllocation, basis) -> WaveformCovariance:
-    """Assemble the covariance basis * diag(lambdas) * basis^H."""
+def covariance_from_alloc(alloc: PowerAllocation, basis) -> np.ndarray:
+    """Assemble the Hermitian covariance basis * diag(lambdas) * basis^H."""
     u = np.asarray(basis, dtype=complex)
     n = len(alloc)
     if u.shape != (n, n):
@@ -105,18 +82,7 @@ def covariance_from_alloc(alloc: PowerAllocation, basis) -> WaveformCovariance:
     if float(np.abs(u.conj().T @ u - np.eye(n)).max()) > 1e-8:
         raise ValueError("basis must be unitary")
     mat = (u * alloc.lambdas) @ u.conj().T
-    mat = 0.5 * (mat + mat.conj().T)
-    return WaveformCovariance(mat, alloc.total)
-
-
-def sample_waveform(cov: WaveformCovariance, t: int, seed: int) -> np.ndarray:
-    """Draw t columns of a zero-mean complex Gaussian waveform with the given covariance."""
-    if t < 1:
-        raise ValueError("t must be positive")
-    w, v = np.linalg.eigh(cov.matrix)
-    root = (v * np.sqrt(np.maximum(w, 0.0))) @ v.conj().T
-    g = _complex_normal(_rng(_STREAM_WAVEFORM, seed), (cov.matrix.shape[0], int(t)))
-    return root @ g
+    return 0.5 * (mat + mat.conj().T)
 
 
 def exact_waveform(alloc: PowerAllocation, t: int, basis=None) -> np.ndarray:

@@ -147,7 +147,3 @@ def main(argv=None) -> int:
     except RuntimeError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (DistortionReport, PowerAllocation, SystemConfig,
-                    capacity_eigform)
+                    capacity_eigform, check_gains)
 from .waterfilling import evaluate, uniform_allocation, waterfill_capacity
 
 INIT_SENSING = "sensing_optimal"
@@ -57,11 +57,7 @@ def evaluate_dual(alloc: PowerAllocation, cfg: SystemConfig, alphas) -> Distorti
 
 def capacity_gradient(alloc: PowerAllocation, alphas) -> np.ndarray:
     """Gradient of the forward-link rate with respect to the eigenvalues."""
-    a = np.asarray(alphas, dtype=float)
-    if a.ndim != 1 or a.size != len(alloc):
-        raise ValueError("alphas must be a 1-d vector matching the allocation")
-    if np.any(a < 0) or not np.all(np.isfinite(a)):
-        raise ValueError("alphas must be nonnegative and finite")
+    a = check_gains(alphas, len(alloc))
     return a / (a * alloc.lambdas + 1.0)
 
 

@@ -22,8 +22,7 @@ from .channel import alphas_from_channel, generate_rayleigh
 from .dual import (INIT_COMMUNICATION, INIT_SENSING, optimize_dual,
                    optimize_dual_best)
 from .model import SystemConfig, noise_var_from_snr
-from .separated import optimize_separated
-from .waterfilling import evaluate, uniform_allocation, waterfill_capacity
+from .separated import compose_split, optimize_separated
 
 SCHEMES = ("separated", "dual", "both")
 DUAL_INITS = ("sensing", "communication", "best")
@@ -110,6 +109,14 @@ DEFAULTS = {
 }
 
 
+def _integer(value) -> int:
+    """``value`` as an int; a number with a fractional part is refused, not truncated."""
+    number = int(value)
+    if not isinstance(value, str) and number != value:
+        raise ValueError(f"{value!r} is not an integer")
+    return number
+
+
 def _coerce(key, value):
     """``value`` as the type of the key's default; a None default is an optional float."""
     if key not in DEFAULTS:
@@ -120,12 +127,14 @@ def _coerce(key, value):
             if value is None or (isinstance(value, str) and value.lower() in ("", "none")):
                 return None
             return float(value)
+        kind = type(default[0] if isinstance(default, tuple) else default)
+        convert = _integer if kind is int else kind
         if isinstance(default, tuple):
             if isinstance(value, str):
                 value = value.split(",")
-            return tuple(type(default[0])(v) for v in value)
-        return type(default)(value)
-    except (TypeError, ValueError) as exc:
+            return tuple(convert(v) for v in value)
+        return convert(value)
+    except (TypeError, ValueError, ArithmeticError) as exc:
         raise ConfigError(f"invalid value for {key}: {value!r}") from exc
 
 
@@ -198,12 +207,17 @@ def system_for(cfg: ExperimentConfig, snr_c_db: float) -> SystemConfig:
                    var_c=noise_var_from_snr(snr_c_db, cfg.system))
 
 
+def _point_gains(cfg: ExperimentConfig, seed: int, snr_c_db: float):
+    """System parameters at ``snr_c_db`` and the channel gains of seed's draw."""
+    sys_cfg = system_for(cfg, snr_c_db)
+    ch = generate_rayleigh(seed, sys_cfg.m_c, sys_cfg.n_tx)
+    return sys_cfg, alphas_from_channel(ch, sys_cfg)
+
+
 def run_point(cfg: ExperimentConfig, seed: int, snr_c_db: float) -> list:
     """Solve the configured schemes for one (seed, snr) point."""
     try:
-        sys_cfg = system_for(cfg, snr_c_db)
-        ch = generate_rayleigh(seed, sys_cfg.m_c, sys_cfg.n_tx)
-        alphas = alphas_from_channel(ch, sys_cfg)
+        sys_cfg, alphas = _point_gains(cfg, seed, snr_c_db)
         dead_link = not bool(np.any(alphas > 0))
 
         def record(scheme, p_s, report, iterations, converged, lambdas):
@@ -230,9 +244,7 @@ def run_point(cfg: ExperimentConfig, seed: int, snr_c_db: float) -> list:
                                   dsol.alloc.lambdas))
         if cfg.curve_points > 0 and cfg.scheme in ("separated", "both"):
             for p in np.linspace(0.0, sys_cfg.p_total, cfg.curve_points):
-                wf = waterfill_capacity(max(sys_cfg.p_total - p, 0.0), alphas)
-                rep = evaluate(uniform_allocation(p, sys_cfg.n_tx), wf.capacity,
-                               sys_cfg)
+                rep, wf = compose_split(p, sys_cfg, alphas)
                 records.append(record("separated_grid", float(p), rep, 0, True,
                                       wf.alloc.lambdas))
         return records
@@ -320,9 +332,7 @@ def collect_trace(cfg: ExperimentConfig) -> list:
     seed = cfg.seeds[0] + seed_offset()
     rows = []
     for snr in cfg.snr_c_db_list:
-        sys_cfg = system_for(cfg, snr)
-        ch = generate_rayleigh(seed, sys_cfg.m_c, sys_cfg.n_tx)
-        alphas = alphas_from_channel(ch, sys_cfg)
+        sys_cfg, alphas = _point_gains(cfg, seed, snr)
         for kind in (INIT_SENSING, INIT_COMMUNICATION):
             sol = optimize_dual(sys_cfg, alphas, init_kind=kind, eps=cfg.eps)
             rows.extend((float(snr), kind, i, value)

@@ -155,17 +155,24 @@ def sensing_distortion(alloc: PowerAllocation, cfg: SystemConfig) -> float:
     return cfg.m_s * float(np.sum(per))
 
 
+def check_gains(alphas, size: int | None = None) -> np.ndarray:
+    """Gains as a float vector, checked nonnegative and finite (and ``size`` long if given)."""
+    a = np.asarray(alphas, dtype=float)
+    if a.ndim != 1 or a.size == 0 or (size is not None and a.size != size):
+        raise ValueError(f"alphas must be a nonempty 1-d vector of length {size or 'n'}, "
+                         f"got shape {a.shape}")
+    if np.any(a < 0) or not np.all(np.isfinite(a)):
+        raise ValueError("alphas must be nonnegative and finite")
+    return a
+
+
 def capacity_eigform(alloc: PowerAllocation, alphas) -> float:
     """Forward-link rate (nats per block) of an eigendomain power allocation.
 
     alphas are the per-eigenchannel gains T * gram_eig / var_c, in the same
     basis and order as the allocation.
     """
-    a = np.asarray(alphas, dtype=float)
-    if a.ndim != 1 or a.size != len(alloc):
-        raise ValueError("alphas must be a 1-d vector matching the allocation")
-    if np.any(a < 0) or not np.all(np.isfinite(a)):
-        raise ValueError("alphas must be nonnegative and finite")
+    a = check_gains(alphas, len(alloc))
     return float(np.sum(np.log1p(a * alloc.lambdas)))
 
 

@@ -16,8 +16,9 @@ import math
 from dataclasses import dataclass
 
 from .model import (DistortionReport, PowerAllocation, SystemConfig,
-                    sensing_subchannel_distortion)
-from .waterfilling import evaluate, uniform_allocation, waterfill_capacity
+                    check_gains, sensing_subchannel_distortion)
+from .waterfilling import (WaterfillResult, evaluate, uniform_allocation,
+                           waterfill_capacity)
 
 
 @dataclass(frozen=True)
@@ -39,14 +40,20 @@ class SeparatedSolution:
     evaluations: int
 
 
+def compose_split(p_s: float, cfg: SystemConfig,
+                  alphas) -> tuple[DistortionReport, WaterfillResult]:
+    """(report, water-filling) of sensing uniformly with ``p_s`` and water-filling the rest."""
+    wf = waterfill_capacity(max(cfg.p_total - p_s, 0.0), alphas)
+    return evaluate(uniform_allocation(p_s, cfg.n_tx), wf.capacity, cfg), wf
+
+
 def evaluate_split(p_s: float, cfg: SystemConfig, alphas) -> DistortionReport:
     """End-to-end distortion of spending ``p_s`` on sensing and the rest on forwarding."""
     slack = 1e-12 * cfg.p_total
     if not (-slack <= p_s <= cfg.p_total + slack):
         raise ValueError(f"p_s must lie in [0, p_total], got {p_s!r}")
     p_s = min(max(float(p_s), 0.0), cfg.p_total)
-    wf = waterfill_capacity(max(cfg.p_total - p_s, 0.0), alphas)
-    return evaluate(uniform_allocation(p_s, cfg.n_tx), wf.capacity, cfg)
+    return compose_split(p_s, cfg, alphas)[0]
 
 
 def split_slope(p_s: float, cfg: SystemConfig, alphas) -> float:
@@ -76,7 +83,7 @@ def optimize_separated(cfg: SystemConfig, alphas) -> SeparatedSolution:
     On a dead link (all gains zero) d_sc does not depend on the split, and
     p_s = 0 is returned with slope 0.
     """
-    if waterfill_capacity(cfg.p_total, alphas).degenerate:
+    if not check_gains(alphas).any():
         p_s, slope, evals = 0.0, 0.0, 0
     else:
         lo, hi = 0.0, cfg.p_total
@@ -100,14 +107,12 @@ def optimize_separated(cfg: SystemConfig, alphas) -> SeparatedSolution:
                     hi, s_hi = mid, s
             p_s, slope = (lo, s_lo) if -s_lo <= s_hi else (hi, s_hi)
 
-    p_c = cfg.p_total - p_s
-    sensing_alloc = uniform_allocation(p_s, cfg.n_tx)
-    wf = waterfill_capacity(p_c, alphas)
+    report, wf = compose_split(p_s, cfg, alphas)
     return SeparatedSolution(
         p_s=p_s,
-        p_c=p_c,
-        report=evaluate(sensing_alloc, wf.capacity, cfg),
-        sensing_alloc=sensing_alloc,
+        p_c=cfg.p_total - p_s,
+        report=report,
+        sensing_alloc=uniform_allocation(p_s, cfg.n_tx),
         comm_alloc=wf.alloc,
         slope=slope,
         evaluations=evals,

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (DistortionReport, PowerAllocation, SystemConfig,
-                    assemble_report, sensing_distortion, source_eigenvalue)
+                    assemble_report, check_gains, sensing_distortion,
+                    source_eigenvalue)
 
 
 @dataclass(frozen=True)
@@ -103,11 +104,7 @@ def waterfill_capacity(p_c: float, alphas) -> WaterfillResult:
     powers are w - o_i, and every active offset is at most w <= p_c, so
     even a budget far below the floors' float spacing is handed out whole.
     """
-    a = np.asarray(alphas, dtype=float)
-    if a.ndim != 1 or a.size == 0:
-        raise ValueError("alphas must be a nonempty 1-d vector")
-    if np.any(a < 0) or not np.all(np.isfinite(a)):
-        raise ValueError("alphas must be nonnegative and finite")
+    a = check_gains(alphas)
     if p_c < 0:
         raise ValueError("power budget must be nonnegative")
     n = a.size

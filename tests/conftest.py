@@ -3,7 +3,8 @@ from dataclasses import replace
 import pytest
 from hypothesis import settings
 
-from cas import SystemConfig, noise_var_from_snr
+from cas import SystemConfig
+from cas.model import noise_var_from_snr
 
 settings.register_profile("cas", deadline=None, max_examples=60)
 settings.load_profile("cas")

@@ -13,13 +13,15 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from cas import (DualSolution, INIT_COMMUNICATION, INIT_SENSING,
-                 PowerAllocation, SeparatedSolution, SystemConfig,
-                 alphas_from_channel, evaluate_dual, evaluate_split,
-                 exact_waveform, generate_rayleigh, mmse_matrix_oracle,
-                 mmse_monte_carlo_stats, optimize_dual, optimize_separated,
-                 reverse_waterfill, sensing_distortion, uniform_allocation,
-                 waterfill_capacity)
+from cas import (DualSolution, PowerAllocation, SeparatedSolution,
+                 SystemConfig, alphas_from_channel, evaluate_dual,
+                 evaluate_split, generate_rayleigh, optimize_separated)
+from cas.channel import (exact_waveform, mmse_matrix_oracle,
+                         mmse_monte_carlo_stats)
+from cas.dual import INIT_COMMUNICATION, INIT_SENSING, optimize_dual
+from cas.model import sensing_distortion
+from cas.waterfilling import (reverse_waterfill, uniform_allocation,
+                              waterfill_capacity)
 from cas.cli import main
 from conftest import reference_system
 

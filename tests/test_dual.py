@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from cas import (INIT_COMMUNICATION, INIT_SENSING, PowerAllocation,
-                 alphas_from_channel, capacity_gradient, evaluate_dual,
-                 generate_rayleigh, gradient_step, optimize_dual,
-                 optimize_dual_best, uniform_allocation, waterfill_capacity)
+from cas import (PowerAllocation, alphas_from_channel, evaluate_dual,
+                 generate_rayleigh, optimize_dual_best)
+from cas.dual import (INIT_COMMUNICATION, INIT_SENSING, capacity_gradient,
+                      gradient_step, optimize_dual)
+from cas.waterfilling import uniform_allocation, waterfill_capacity
 from conftest import reference_system
 
 

@@ -9,12 +9,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cas import (ConfigError, config_from_mapping, compare_summary,
-                 optimize_dual, parse_config_file, run_point)
-from cas import experiment
+from cas import (alphas_from_channel, evaluate_split, experiment,
+                 generate_rayleigh)
 from cas.cli import main
-from cas.experiment import (CSV_COLUMNS, TRACE_COLUMNS, collect_sweep,
-                            render_records, write_output)
+from cas.dual import optimize_dual
+from cas.experiment import (CSV_COLUMNS, TRACE_COLUMNS, ConfigError,
+                            collect_sweep, compare_summary,
+                            config_from_mapping, parse_config_file,
+                            render_records, run_point, write_output)
+from cas.waterfilling import waterfill_capacity
 
 SMALL = {
     "seeds": "0,1,2",
@@ -78,6 +81,13 @@ def test_config_validation_errors():
         config_from_mapping({"var_eta": "abc"})
     with pytest.raises(ConfigError):
         config_from_mapping({"eps": "abc"})
+    # a library or JSON mapping may pass numbers: a fractional one for an
+    # integer key is refused rather than truncated
+    for mapping in ({"n_tx": 10.7}, {"seeds": [0.9, 1.2]}, {"jobs": 2.5},
+                    {"curve_points": float("inf")}):
+        with pytest.raises(ConfigError, match="invalid value"):
+            config_from_mapping(mapping)
+    assert config_from_mapping({"n_tx": 10.0, "seeds": [0.0, 1]}).seeds == (0, 1)
 
 
 def test_config_file_parsing(tmp_path):
@@ -212,6 +222,16 @@ def test_curve_points_emit_grid_rows(tmp_path):
     assert grid[-1].p_s == pytest.approx(1.0)
     ps = [r.p_s for r in grid]
     assert ps == sorted(ps)
+    # each row is the split composed at its p_s, and none beats the optimum
+    sys_cfg = experiment.system_for(cfg, 10.0)
+    alphas = alphas_from_channel(
+        generate_rayleigh(0, sys_cfg.m_c, sys_cfg.n_tx), sys_cfg)
+    best = next(r for r in records if r.scheme == "separated")
+    for r in grid:
+        assert r.d_sc == evaluate_split(r.p_s, sys_cfg, alphas).d_sc
+        wf = waterfill_capacity(sys_cfg.p_total - r.p_s, alphas)
+        assert np.array_equal(r.alloc_summary, wf.alloc.lambdas)
+        assert r.d_sc >= best.d_sc * (1.0 - 1e-12)
 
 
 def test_emit_trace(tmp_path):
@@ -361,10 +381,10 @@ def test_cli_module_entry(tmp_path):
 
 
 def loaded_by_import(module, cwd):
-    """Whether a fresh interpreter has ``module`` loaded after ``import cas``."""
+    """Whether a fresh interpreter has ``module`` loaded after importing the command line."""
     proc = subprocess.run(
         [sys.executable, "-c",
-         f"import sys, cas; print({module!r} in sys.modules)"],
+         f"import sys, cas.cli; print({module!r} in sys.modules)"],
         capture_output=True, text=True, env=src_env(), cwd=str(cwd))
     assert proc.returncode == 0, proc.stderr
     return {"True": True, "False": False}[proc.stdout.strip()]

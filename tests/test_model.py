@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cas import (DistortionReport, PowerAllocation, SystemConfig,
-                 assemble_report, capacity_eigform, noise_var_from_snr,
-                 sensing_distortion, sensing_subchannel_distortion,
-                 source_eigenvalue, uniform_allocation)
+from cas import DistortionReport, PowerAllocation, SystemConfig
+from cas.model import (assemble_report, capacity_eigform, noise_var_from_snr,
+                       sensing_distortion, sensing_subchannel_distortion,
+                       source_eigenvalue)
+from cas.waterfilling import uniform_allocation
 from conftest import reference_system
 
 lam_st = st.floats(min_value=0.0, max_value=1e9, allow_nan=False)

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from cas import (alphas_from_channel, evaluate_split, generate_rayleigh,
-                 optimize_separated, sensing_subchannel_distortion,
-                 waterfill_capacity)
+                 optimize_separated)
+from cas.model import sensing_subchannel_distortion
+from cas.waterfilling import waterfill_capacity
 from cas.separated import split_slope
 from conftest import reference_system
 

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cas import reverse_waterfill, uniform_allocation, waterfill_capacity
+from cas.waterfilling import (reverse_waterfill, uniform_allocation,
+                              waterfill_capacity)
 
 
 def sorted_waterfill_oracle(p_c, alphas):
