@@ -6,11 +6,12 @@ Exit codes: 0 success, 2 invalid configuration, 3 numeric degeneracy
 
 import argparse
 import sys
+from dataclasses import replace
 
 from .experiment import (DEFAULTS, ConfigError, collect_sweep, collect_trace,
-                         compare_summary, config_from_mapping,
+                         compare_summary, config_from_mapping, fmt_float,
                          parse_config_file, render_records, render_trace,
-                         run_point, seed_offset, sort_records, write_output)
+                         write_output)
 
 # every configuration key has a --<key> flag; the output ones have their own
 _OVERRIDE_KEYS = tuple(k for k in DEFAULTS
@@ -84,42 +85,23 @@ def _build_config(args):
         mapping["scheme"] = "both"
     if args.command == "trace" and not explicit_output:
         mapping["output_path"] = "trace.csv"
-    return config_from_mapping(mapping)
-
-
-def _point_records(cfg):
-    return sort_records(run_point(cfg, cfg.seeds[0] + seed_offset(),
-                                  cfg.snr_c_db_list[0]))
+    cfg = config_from_mapping(mapping)
+    if args.command == "point":
+        # a one-point sweep: every configured SNR is checked above, and the
+        # first seed is solved at the first SNR
+        cfg = replace(cfg, seeds=cfg.seeds[:1], snr_c_db_list=cfg.snr_c_db_list[:1])
+    return cfg
 
 
 def _flagged_exit(records) -> int:
     """0, or 3 after naming the flagged records (at most 20) and their count on stderr."""
     flagged = [r for r in records if r.flagged]
     for r in flagged[:20]:
-        reason = ("dead link (all channel gains zero)" if r.converged
-                  else "dual search stopped at the iteration cap")
         print(f"flagged: scheme {r.scheme}, seed {r.seed}, "
-              f"snr_c_db {r.snr_c_db:.12g}: {reason}", file=sys.stderr)
+              f"snr_c_db {fmt_float(r.snr_c_db)}: {r.flagged}", file=sys.stderr)
     if flagged:
         print(f"flagged records: {len(flagged)}", file=sys.stderr)
     return 3 if flagged else 0
-
-
-def _cmd_point(cfg, args) -> int:
-    if args.output is not None:
-        records = write_output(cfg, _point_records, render_records)
-    else:
-        records = _point_records(cfg)
-        sys.stdout.write(render_records(records, cfg.output_format))
-    return _flagged_exit(records)
-
-
-def _cmd_sweep(cfg, command) -> int:
-    records = write_output(cfg, collect_sweep, render_records)
-    if command == "compare":
-        print(compare_summary(records))
-    print(f"wrote {cfg.output_path}")
-    return _flagged_exit(records)
 
 
 def main(argv=None) -> int:
@@ -131,13 +113,19 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         cfg = _build_config(args)
-        if args.command == "point":
-            return _cmd_point(cfg, args)
         if args.command == "trace":
-            write_output(cfg, collect_trace, render_trace)
+            collect, render = collect_trace, render_trace
+        else:
+            collect, render = collect_sweep, render_records
+        if args.command == "point" and args.output is None:
+            collected = collect(cfg)
+            sys.stdout.write(render(collected, cfg.output_format))
+        else:
+            collected = write_output(cfg, collect, render)
+            if args.command == "compare":
+                print(compare_summary(collected))
             print(f"wrote {cfg.output_path}")
-            return 0
-        return _cmd_sweep(cfg, args.command)
+        return 0 if args.command == "trace" else _flagged_exit(collected)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

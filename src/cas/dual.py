@@ -74,12 +74,11 @@ def gradient_step(alloc: PowerAllocation, beta: float, alphas,
 
 
 def optimize_dual(cfg: SystemConfig, alphas, init_kind: str = INIT_SENSING,
-                  eps: float | None = None,
                   max_iters: int = 500) -> DualSolution:
     """Descent on the dual-functional profile from one warm start.
 
-    Stops when an accepted step improves the objective by at most eps
-    (default 1e-8 of the zero-power distortion ceiling), when no halved step
+    Stops when an accepted step improves the objective by at most 1e-8 of
+    the zero-power distortion ceiling m_s*n_tx*var_eta, when no halved step
     size down to 1e-12 improves it at all, or at max_iters.  The base step
     is p_total / l1-norm of the initial gradient so the first trial step
     moves a budget-sized amount.
@@ -90,20 +89,16 @@ def optimize_dual(cfg: SystemConfig, alphas, init_kind: str = INIT_SENSING,
         alloc = waterfill_capacity(cfg.p_total, alphas).alloc
     else:
         raise ValueError(f"unknown init_kind {init_kind!r}")
-    if eps is None:
-        eps = 1e-8 * cfg.var_eta * cfg.m_s * cfg.n_tx
-    if not eps > 0:
-        raise ValueError("eps must be positive")
     if max_iters < 1:
         raise ValueError("max_iters must be positive")
 
     report = evaluate_dual(alloc, cfg, alphas)
     trace = [report.d_sc]
-    g0 = float(np.abs(capacity_gradient(alloc, alphas)).sum())
-    if g0 == 0:
+    if not check_gains(alphas).any():
         # dead link: the rate is identically zero, nothing to trade
         return DualSolution(alloc, report, 0, np.asarray(trace), init_kind, True)
-    beta0 = cfg.p_total / g0
+    beta0 = cfg.p_total / float(np.abs(capacity_gradient(alloc, alphas)).sum())
+    tol = 1e-8 * cfg.var_eta * cfg.m_s * cfg.n_tx
 
     converged = True
     for _ in range(max_iters):
@@ -120,7 +115,7 @@ def optimize_dual(cfg: SystemConfig, alphas, init_kind: str = INIT_SENSING,
             break
         alloc, report = accepted
         trace.append(report.d_sc)
-        if trace[-2] - trace[-1] <= eps:
+        if trace[-2] - trace[-1] <= tol:
             break
     else:
         converged = False
@@ -129,12 +124,11 @@ def optimize_dual(cfg: SystemConfig, alphas, init_kind: str = INIT_SENSING,
                         init_kind, converged)
 
 
-def optimize_dual_best(cfg: SystemConfig, alphas,
-                       eps: float | None = None) -> DualSolution:
+def optimize_dual_best(cfg: SystemConfig, alphas) -> DualSolution:
     """Run both warm starts and keep whichever ends lower (ties: sensing start)."""
     best = None
     for kind in (INIT_SENSING, INIT_COMMUNICATION):
-        sol = optimize_dual(cfg, alphas, init_kind=kind, eps=eps)
+        sol = optimize_dual(cfg, alphas, init_kind=kind)
         if best is None or sol.report.d_sc < best.report.d_sc:
             best = sol
     return best

@@ -6,8 +6,8 @@ split, distortions and allocation.  A trace records the dual search's
 objective per iteration at every swept SNR.  Both are rendered by one
 serializer, which formats floats to 12 significant digits, and written by
 one writer; records are sorted, so reruns of the same configuration are
-byte-identical.  The environment variable CAS_SEED_OFFSET shifts every seed
-for batch farming.
+byte-identical.  The environment variable CAS_SEED_OFFSET is added to every
+seed when the configuration is built, for batch farming.
 """
 
 import csv
@@ -51,7 +51,6 @@ class ExperimentConfig:
     seeds: tuple = tuple(range(20))
     scheme: str = "both"
     dual_init: str = "best"
-    eps: float | None = None
     output_path: str = "sweep.csv"
     output_format: str = "csv"
     jobs: int = 1
@@ -68,8 +67,6 @@ class ExperimentConfig:
             raise ConfigError("snr_c_db_list must be nonempty")
         if not self.seeds:
             raise ConfigError("seeds must be nonempty")
-        if self.eps is not None and not self.eps > 0:
-            raise ConfigError("eps must be positive when set")
         if self.jobs < 1:
             raise ConfigError("jobs must be at least 1")
         if self.curve_points < 0:
@@ -78,7 +75,9 @@ class ExperimentConfig:
 
 @dataclass(slots=True, eq=False)
 class SweepRecord:
-    """One solved point of a sweep; flagged marks a dead link or an unconverged search.
+    """One solved point of a sweep; flagged is why it is suspect, "" when it is not.
+
+    A record is flagged for a dead link or a search stopped by its cap.
 
     alloc_summary is the solver's read-only eigenvalue array, kept as is
     rather than copied into Python floats, so a sweep's records stay small.
@@ -96,7 +95,7 @@ class SweepRecord:
     iterations: int
     converged: bool
     alloc_summary: np.ndarray
-    flagged: bool
+    flagged: str
 
 
 _EXPERIMENT_FIELDS = tuple(f for f in fields(ExperimentConfig) if f.name != "system")
@@ -118,15 +117,11 @@ def _integer(value) -> int:
 
 
 def _coerce(key, value):
-    """``value`` as the type of the key's default; a None default is an optional float."""
+    """``value`` as the type of the key's default."""
     if key not in DEFAULTS:
         raise ConfigError(f"unknown configuration key {key!r}")
     default = DEFAULTS[key]
     try:
-        if default is None:
-            if value is None or (isinstance(value, str) and value.lower() in ("", "none")):
-                return None
-            return float(value)
         kind = type(default[0] if isinstance(default, tuple) else default)
         convert = _integer if kind is int else kind
         if isinstance(default, tuple):
@@ -149,10 +144,14 @@ def config_from_mapping(mapping: dict) -> ExperimentConfig:
 
     The system parameters of every swept SNR are built here, so a value no
     system can take (e.g. a non-finite SNR) fails before any point is solved.
+    The seeds are shifted by seed_offset() here too, so cfg.seeds are the
+    seeds that get solved.
     """
     merged = dict(DEFAULTS)
     for key, value in mapping.items():
         merged[key] = _coerce(key, value)
+    offset = seed_offset()
+    merged["seeds"] = tuple(seed + offset for seed in merged["seeds"])
     _check_snr("snr_s_db", merged["snr_s_db"])
     for snr in merged["snr_c_db_list"]:
         _check_snr("snr_c_db", snr)
@@ -218,15 +217,19 @@ def run_point(cfg: ExperimentConfig, seed: int, snr_c_db: float) -> list:
     """Solve the configured schemes for one (seed, snr) point."""
     try:
         sys_cfg, alphas = _point_gains(cfg, seed, snr_c_db)
-        dead_link = not bool(np.any(alphas > 0))
+        dead_link = not alphas.any()
 
         def record(scheme, p_s, report, iterations, converged, lambdas):
+            if dead_link:
+                flagged = "dead link (all channel gains zero)"
+            else:
+                flagged = "" if converged else "dual search stopped at the iteration cap"
             return SweepRecord(
                 scheme=scheme, seed=int(seed), snr_c_db=float(snr_c_db),
                 p_s=p_s, d_s=report.d_s, d_c=report.d_c, d_sc=report.d_sc,
                 capacity=report.capacity, iterations=iterations,
                 converged=converged, alloc_summary=lambdas,
-                flagged=dead_link or not converged)
+                flagged=flagged)
 
         records = []
         if cfg.scheme in ("separated", "both"):
@@ -235,10 +238,10 @@ def run_point(cfg: ExperimentConfig, seed: int, snr_c_db: float) -> list:
                                   sol.evaluations, True, sol.comm_alloc.lambdas))
         if cfg.scheme in ("dual", "both"):
             if cfg.dual_init == "best":
-                dsol = optimize_dual_best(sys_cfg, alphas, eps=cfg.eps)
+                dsol = optimize_dual_best(sys_cfg, alphas)
             else:
                 kind = INIT_SENSING if cfg.dual_init == "sensing" else INIT_COMMUNICATION
-                dsol = optimize_dual(sys_cfg, alphas, init_kind=kind, eps=cfg.eps)
+                dsol = optimize_dual(sys_cfg, alphas, init_kind=kind)
             records.append(record("dual", dsol.alloc.total, dsol.report,
                                   dsol.iterations, dsol.converged,
                                   dsol.alloc.lambdas))
@@ -258,7 +261,7 @@ def _point_task(args):
     return run_point(cfg, seed, snr_c_db)
 
 
-def _fmt(value: float) -> str:
+def fmt_float(value: float) -> str:
     return f"{float(value):.12g}"
 
 
@@ -269,7 +272,7 @@ def _cell(value, csv_text: bool):
     if isinstance(value, (int, np.integer)):
         return str(int(value)) if csv_text else int(value)
     if isinstance(value, (float, np.floating)):
-        return _fmt(value) if csv_text else float(_fmt(value))
+        return fmt_float(value) if csv_text else float(fmt_float(value))
     if isinstance(value, np.ndarray):
         cells = [_cell(v, csv_text) for v in value.tolist()]
         return ";".join(cells) if csv_text else cells
@@ -306,17 +309,16 @@ def render_records(records: list, output_format: str) -> str:
 
 def collect_sweep(cfg: ExperimentConfig) -> list:
     """Solve every configured (seed, snr) point and return sorted records."""
-    offset = seed_offset()
-    points = [(cfg, seed + offset, snr)
-              for snr in cfg.snr_c_db_list for seed in cfg.seeds]
-    if cfg.jobs > 1:
+    points = [(cfg, seed, snr) for snr in cfg.snr_c_db_list for seed in cfg.seeds]
+    workers = min(cfg.jobs, len(points))
+    if workers > 1:
         # imported here: loading the pool machinery costs every serial run
         from concurrent.futures import ProcessPoolExecutor
         # several points per message: their records then share one pickle
         # memo, so the scheme names and SNRs arrive once per message rather
         # than as a fresh copy in every record
-        chunksize = max(1, len(points) // (8 * cfg.jobs))
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
+        chunksize = max(1, len(points) // (8 * workers))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(_point_task, points, chunksize=chunksize))
     else:
         chunks = [_point_task(p) for p in points]
@@ -329,12 +331,11 @@ def collect_trace(cfg: ExperimentConfig) -> list:
 
     Rows hold (snr_c_db, init_kind, iteration, d_sc), in TRACE_COLUMNS order.
     """
-    seed = cfg.seeds[0] + seed_offset()
     rows = []
     for snr in cfg.snr_c_db_list:
-        sys_cfg, alphas = _point_gains(cfg, seed, snr)
+        sys_cfg, alphas = _point_gains(cfg, cfg.seeds[0], snr)
         for kind in (INIT_SENSING, INIT_COMMUNICATION):
-            sol = optimize_dual(sys_cfg, alphas, init_kind=kind, eps=cfg.eps)
+            sol = optimize_dual(sys_cfg, alphas, init_kind=kind)
             rows.extend((float(snr), kind, i, value)
                         for i, value in enumerate(sol.objective_trace))
     return rows
@@ -373,5 +374,5 @@ def compare_summary(records: list) -> str:
         mean_sep = float(np.mean(sep)) if sep else float("nan")
         mean_dual = float(np.mean(du)) if du else float("nan")
         gain = 100.0 * (mean_sep - mean_dual) / mean_sep if sep and du else float("nan")
-        lines.append(f"{_fmt(snr):>9}  {mean_sep:>20.6f}  {mean_dual:>15.6f}  {gain:>9.2f}")
+        lines.append(f"{fmt_float(snr):>9}  {mean_sep:>20.6f}  {mean_dual:>15.6f}  {gain:>9.2f}")
     return "\n".join(lines)

@@ -26,15 +26,13 @@ class WaterfillResult:
     level is the water level xi_c: active channels receive level - 1/alpha_i.
     kkt_residual is the worst relative violation among the power budget,
     stationarity on active channels and dual feasibility on inactive ones.
-    degenerate marks the all-zero-gain channel with positive budget, where
-    any allocation is optimal and zeros are returned.
+    With all gains zero any allocation is optimal, and zeros are returned.
     """
 
     alloc: PowerAllocation
     level: float
     capacity: float
     kkt_residual: float = 0.0
-    degenerate: bool = False
 
 
 @dataclass(frozen=True)
@@ -45,15 +43,14 @@ class ReverseWaterfillResult:
     min(xi, eig).  d_c multiplies the per-component sum by the source
     multiplicity.  saturated marks rate targets so large that xi underflows
     to zero (rate is still the consumed rate, computed in the log domain).
-    degenerate marks an all-zero source, which costs nothing to deliver at
-    any rate.
+    An all-zero source costs nothing to deliver at any rate: xi, d_c and
+    rate are then zero.
     """
 
     xi: float
     per_component_d: np.ndarray
     d_c: float
     rate: float
-    degenerate: bool = False
     saturated: bool = False
 
     def __post_init__(self):
@@ -111,7 +108,7 @@ def waterfill_capacity(p_c: float, alphas) -> WaterfillResult:
     pos = a > 0
     if not pos.any():
         zero = PowerAllocation(np.zeros(n))
-        return WaterfillResult(zero, 0.0, 0.0, 0.0, degenerate=bool(p_c > 0))
+        return WaterfillResult(zero, 0.0, 0.0, 0.0)
     inv = 1.0 / a[pos]
     if p_c == 0:
         # nothing to place: the lowest floor is the level, and the KKT
@@ -168,8 +165,7 @@ def reverse_waterfill(source_eigs, multiplicity: int,
     m = int(multiplicity)
     pos = eigs[eigs > 0]
     if pos.size == 0:
-        return ReverseWaterfillResult(0.0, np.zeros_like(eigs), 0.0, 0.0,
-                                      degenerate=True)
+        return ReverseWaterfillResult(0.0, np.zeros_like(eigs), 0.0, 0.0)
     if target_rate == 0:
         xi = float(pos.max())
         rate = 0.0
@@ -184,8 +180,7 @@ def reverse_waterfill(source_eigs, multiplicity: int,
         xi = math.exp(log_xi)
         rate = m * float(np.sum(logs[:k] - log_xi))
     per = np.minimum(xi, eigs)
-    return ReverseWaterfillResult(xi, per, m * float(per.sum()), rate,
-                                  False, xi == 0.0)
+    return ReverseWaterfillResult(xi, per, m * float(per.sum()), rate, xi == 0.0)
 
 
 def evaluate(alloc: PowerAllocation, capacity: float,

@@ -129,11 +129,9 @@ def test_dead_link_terminates_at_init(cfg10):
 
 def test_max_iters_flag(cfg10):
     alphas = channel_alphas(0, cfg10)
-    sol = optimize_dual(cfg10, alphas, init_kind=INIT_SENSING, eps=1e-300,
-                        max_iters=2)
-    assert sol.iterations <= 2
-    if sol.iterations == 2:
-        assert not sol.converged
+    sol = optimize_dual(cfg10, alphas, init_kind=INIT_SENSING, max_iters=1)
+    assert sol.iterations == 1
+    assert not sol.converged
     full = optimize_dual(cfg10, alphas, init_kind=INIT_SENSING)
     assert full.report.d_sc <= sol.report.d_sc
 
@@ -142,7 +140,5 @@ def test_optimize_dual_validation(cfg10):
     alphas = channel_alphas(0, cfg10)
     with pytest.raises(ValueError):
         optimize_dual(cfg10, alphas, init_kind="other")
-    with pytest.raises(ValueError):
-        optimize_dual(cfg10, alphas, eps=0.0)
     with pytest.raises(ValueError):
         optimize_dual(cfg10, alphas, max_iters=0)

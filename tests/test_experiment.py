@@ -68,8 +68,9 @@ def test_config_validation_errors():
         config_from_mapping({"seeds": ""})
     with pytest.raises(ConfigError):
         config_from_mapping({"jobs": "0"})
-    # the separated solver has no grid to configure
-    for key in ("grid_l", "tol"):
+    # the separated solver has no grid to configure, and the dual search's
+    # stop tolerance is fixed
+    for key in ("grid_l", "tol", "eps"):
         with pytest.raises(ConfigError, match="unknown configuration key"):
             config_from_mapping({key: "21"})
     for mapping in ({"snr_c_db_list": "10,1000.5"}, {"snr_s_db": "-4000"}):
@@ -79,8 +80,6 @@ def test_config_validation_errors():
         config_from_mapping({"n_symbols": "5"})
     with pytest.raises(ConfigError):
         config_from_mapping({"var_eta": "abc"})
-    with pytest.raises(ConfigError):
-        config_from_mapping({"eps": "abc"})
     # a library or JSON mapping may pass numbers: a fractional one for an
     # integer key is refused rather than truncated
     for mapping in ({"n_tx": 10.7}, {"seeds": [0.9, 1.2]}, {"jobs": 2.5},
@@ -98,17 +97,12 @@ def test_config_file_parsing(tmp_path):
         "seeds = 0, 1   # trailing comment\n"
         "snr_c_db_list = 5,15\n"
         "scheme = separated\n"
-        "eps = 1e-9\n"
         "\n")
     cfg = config_from_mapping(parse_config_file(str(path)))
     assert cfg.system.n_tx == 4
     assert cfg.seeds == (0, 1)
     assert cfg.snr_c_db_list == (5.0, 15.0)
     assert cfg.scheme == "separated"
-    assert cfg.eps == 1e-9
-    # eps defaults to None, so "none" (any case) or None leaves it unset
-    for unset in ("None", "", None):
-        assert config_from_mapping({"eps": unset}).eps is None
     bad = tmp_path / "bad.cfg"
     bad.write_text("just a line without equals\n")
     with pytest.raises(ConfigError):
@@ -194,16 +188,29 @@ def test_sweep_json_format(tmp_path):
 
 
 def test_seed_offset_env(tmp_path, monkeypatch):
-    cfg = small_cfg(tmp_path, seeds="0")
+    # the offset is added when the config is built: cfg.seeds are solved as is
     monkeypatch.setenv("CAS_SEED_OFFSET", "7")
-    shifted = collect_sweep(cfg)
+    cfg = small_cfg(tmp_path, seeds="0")
+    assert cfg.seeds == (7,)
     monkeypatch.delenv("CAS_SEED_OFFSET")
+    shifted = collect_sweep(cfg)
     direct = collect_sweep(small_cfg(tmp_path, seeds="7"))
     assert [r.seed for r in shifted] == [r.seed for r in direct]
     assert [r.d_sc for r in shifted] == [r.d_sc for r in direct]
     monkeypatch.setenv("CAS_SEED_OFFSET", "not-an-int")
-    with pytest.raises(ConfigError):
-        collect_sweep(cfg)
+    with pytest.raises(ConfigError, match="CAS_SEED_OFFSET must be an integer"):
+        small_cfg(tmp_path, seeds="0")
+
+
+def test_bad_seed_offset_leaves_output_untouched(tmp_path, monkeypatch, capsys):
+    # the offset is read before the output opens, so an existing file survives
+    monkeypatch.setenv("CAS_SEED_OFFSET", "abc")
+    out = tmp_path / "kept.csv"
+    out.write_bytes(b"earlier results\n")
+    for command in ("sweep", "trace"):
+        assert main([command, "--output", str(out)]) == 2, command
+        assert capsys.readouterr().err.startswith("configuration error: ")
+        assert out.read_bytes() == b"earlier results\n"
 
 
 def test_unwritable_output_fails_fast(tmp_path):
@@ -270,6 +277,26 @@ def test_cli_point_stdout(tmp_path, capsys):
     out = capsys.readouterr().out
     assert out.startswith(",".join(CSV_COLUMNS))
     assert len(out.strip().splitlines()) == 3
+    # --output writes the same bytes that stdout carried
+    path = tmp_path / "p.csv"
+    assert main(["point", "--seeds", "0", "--snr-c-db-list", "10",
+                 "--output", str(path)]) == 0
+    assert capsys.readouterr().out == f"wrote {path}\n"
+    assert path.read_text() == out
+
+
+def test_cli_point_runs_in_process(tmp_path, monkeypatch):
+    # point is a one-point sweep, and one point never starts a pool
+    import concurrent.futures
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("process pool started")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    assert main(["point", "--seed", "0", "--snr-c-db", "10", "--jobs", "2"]) == 0
+    with pytest.raises(AssertionError, match="process pool started"):
+        main(["sweep", "--seeds", "0,1", "--snr-c-db-list", "10", "--jobs", "2",
+              "--output", str(tmp_path / "s.csv")])
 
 
 def test_cli_sweep_and_compare(tmp_path, capsys):
@@ -347,8 +374,7 @@ def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
                  "--snr-c-db=-0.005527540159814492"]) == 0
     # exit 3 names each flagged record (at most 20) with its reason on stderr
     monkeypatch.setattr(experiment, "optimize_dual_best",
-                        lambda cfg, alphas, eps=None: optimize_dual(
-                            cfg, alphas, eps=1e-300, max_iters=1))
+                        lambda cfg, alphas: optimize_dual(cfg, alphas, max_iters=1))
     capsys.readouterr()
     assert main(["point", "--seed", "0", "--snr-c-db", "10"]) == 3
     assert capsys.readouterr().err.splitlines() == [

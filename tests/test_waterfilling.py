@@ -49,7 +49,6 @@ def test_waterfill_two_channel_analytic():
     assert np.allclose(res.alloc.lambdas, [0.75, 0.25], rtol=1e-9, atol=1e-12)
     assert res.capacity == pytest.approx(math.log(2.5) + math.log(1.25), rel=1e-10)
     assert res.kkt_residual <= 1e-8
-    assert not res.degenerate
 
 
 def test_waterfill_two_channel_dominates_grid():
@@ -72,7 +71,6 @@ def test_waterfill_zero_budget():
         assert res.alloc.total == 0.0
         assert res.capacity == 0.0
         assert res.kkt_residual == 0.0
-        assert not res.degenerate
 
 
 def test_waterfill_tiny_budget_is_kept():
@@ -87,7 +85,8 @@ def test_waterfill_tiny_budget_is_kept():
 
 def test_waterfill_dead_channel_degenerate():
     res = waterfill_capacity(1.0, np.zeros(3))
-    assert res.degenerate
+    assert np.array_equal(res.alloc.lambdas, np.zeros(3))
+    assert res.level == 0.0 and res.kkt_residual == 0.0
     assert res.capacity == 0.0
     assert res.alloc.total == 0.0
 
@@ -127,7 +126,7 @@ def test_waterfill_budget_and_kkt(arrs, p_c):
     lam = res.alloc.lambdas
     assert np.all(lam >= 0)
     assert np.all(lam[a == 0] == 0)
-    if res.degenerate:
+    if not a.any():
         assert res.capacity == 0.0
         return
     assert abs(res.alloc.total - p_c) <= 1e-8 * p_c
@@ -146,8 +145,8 @@ _TIED = st.sampled_from([0.0, 0.05, 0.5, 1.0, 2.0, float(np.nextafter(2.0, 3.0))
 def test_waterfill_matches_oracle_with_ties(arrs, p_c):
     a = np.array(arrs)
     res = waterfill_capacity(p_c, a)
-    if res.degenerate:
-        assert not (a > 0).any()
+    if not a.any():
+        assert res.alloc.total == 0.0 and res.capacity == 0.0
         return
     expected = sorted_waterfill_oracle(p_c, a)
     assert np.allclose(res.alloc.lambdas, expected, rtol=1e-12, atol=1e-14)
@@ -180,7 +179,7 @@ def test_reverse_rate_below_float_resolution():
     assert res.xi == pytest.approx(0.05, rel=1e-15)
     assert res.rate == pytest.approx(1e-300, abs=1e-15)
     assert res.d_c == pytest.approx(3 * eigs.sum(), rel=1e-15)
-    assert not (res.saturated or res.degenerate)
+    assert not res.saturated
 
 
 def test_waterfill_capacity_monotone_concave_in_budget():
@@ -265,7 +264,7 @@ def test_reverse_multiplicity_scaling():
 
 def test_reverse_degenerate_and_saturated():
     res = reverse_waterfill(np.zeros(3), 5, 7.0)
-    assert res.degenerate
+    assert res.xi == 0.0 and not res.per_component_d.any()
     assert res.d_c == 0.0 and res.rate == 0.0
     sat = reverse_waterfill(np.array([0.05, 0.0, 0.02]), 1, 1e6)
     assert sat.saturated
