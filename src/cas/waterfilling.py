@@ -1,12 +1,11 @@
 """Water-filling solvers for the forward link and its reverse (rate-distortion) dual.
 
-Both solvers are exact and take a fixed number of steps: they sort the
-channels once and read the water level off the prefix sums for the number
-of active channels that is consistent with it (Palomar & Fonollosa, IEEE
-TSP 2005, for capacity; Cover & Thomas, Elements of Information Theory,
-section 10.3.3, for the reverse problem, solved in the log domain so it is
-stable across many orders of magnitude).  Each forward solve carries a KKT
-residual so optimality is certified rather than assumed.
+Both solve one problem, the level L with sum_i max(L - o_i, 0) = B over
+floors o, which ``_fill`` reads off sorted prefix sums in a fixed number of
+steps.  Capacity has o = 1/alpha and B = p_c (Palomar & Fonollosa, IEEE TSP
+2005); the reverse has o = -log eig, B = R/m and xi = exp(-L) (Cover &
+Thomas, Elements of Information Theory, section 10.3.3), stable across many
+orders of magnitude.  Each forward solve carries a KKT residual.
 """
 
 import math
@@ -83,6 +82,24 @@ def _kkt_residual(lam: np.ndarray, level: float, alphas: np.ndarray,
     return max(r_power, r_stat, r_dual)
 
 
+def _fill(floors: np.ndarray, budget: float):
+    """Level L with sum_i max(L - floors_i, 0) = budget, and each floor's depth under L.
+
+    With the floors measured as offsets o above the lowest one and sorted,
+    filling the k lowest gives the depth (budget + o_1 + ... + o_k)/k above
+    the lowest floor; the depth is that of the largest k whose depth reaches
+    o_k.  Every filled offset is at most depth <= budget, so even a budget
+    far below the floors' float spacing is handed out whole.
+    """
+    low = floors.min()
+    offsets = floors - low
+    ordered = np.sort(offsets)
+    depths = (budget + np.cumsum(ordered)) / np.arange(1, ordered.size + 1)
+    # k = 1 always qualifies, since depths[0] = budget and ordered[0] = 0
+    depth = depths[np.flatnonzero(depths >= ordered)[-1]]
+    return float(low + depth), np.maximum(depth - offsets, 0.0)
+
+
 def waterfill_capacity(p_c: float, alphas) -> WaterfillResult:
     """Maximize the forward-link rate over parallel channels with budget ``p_c``.
 
@@ -94,16 +111,12 @@ def waterfill_capacity(p_c: float, alphas) -> WaterfillResult:
         WaterfillResult with lam_i = max(level - 1/alpha_i, 0), the sum of
         active powers matching p_c to relative 1e-8 or tighter.
 
-    With 1/alpha sorted ascending over the positive gains and measured as
-    offsets o_i above the lowest one, filling the k strongest channels
-    gives the water depth w = (p_c + o_1 + ... + o_k)/k above that floor;
-    the depth is the one of the largest k whose depth reaches o_k.  Active
-    powers are w - o_i, and every active offset is at most w <= p_c, so
-    even a budget far below the floors' float spacing is handed out whole.
+    The level and the powers are ``_fill`` on the floors 1/alpha of the
+    positive gains with budget p_c.
     """
+    if p_c < 0 or not math.isfinite(p_c):
+        raise ValueError("power budget must be nonnegative and finite")
     a = check_gains(alphas)
-    if p_c < 0:
-        raise ValueError("power budget must be nonnegative")
     n = a.size
     pos = a > 0
     if not pos.any():
@@ -115,15 +128,9 @@ def waterfill_capacity(p_c: float, alphas) -> WaterfillResult:
         # conditions hold exactly rather than up to the rounding of 1/level
         zero = PowerAllocation(np.zeros(n))
         return WaterfillResult(zero, float(inv.min()), 0.0, 0.0)
-    floor = inv.min()
-    offsets = inv - floor
-    ordered = np.sort(offsets)
-    depths = (p_c + np.cumsum(ordered)) / np.arange(1, ordered.size + 1)
-    # k = 1 always qualifies, since depths[0] = p_c and ordered[0] = 0
-    depth = depths[np.flatnonzero(depths >= ordered)[-1]]
-    level = float(floor + depth)
+    level, filled = _fill(inv, p_c)
     lam = np.zeros(n)
-    lam[pos] = np.maximum(depth - offsets, 0.0)
+    lam[pos] = filled
     alloc = PowerAllocation(lam)
     capacity = float(np.sum(np.log1p(a * lam)))
     return WaterfillResult(alloc, level, capacity,
@@ -143,15 +150,13 @@ def reverse_waterfill(source_eigs, multiplicity: int,
     Returns:
         ReverseWaterfillResult with per-component distortion min(xi, eig),
         d_c = multiplicity * sum of those, and the rate actually consumed,
-        which matches target_rate up to the rounding of the log
-        eigenvalues (a target below that resolution consumes zero rate).
+        which matches target_rate to rounding, even for a target below
+        the float spacing of the log eigenvalues.
 
-    With the log eigenvalues sorted descending, spending the rate R on the
-    k largest components gives log xi = (sum of their logs - R/m)/k.  The
-    active set is the smallest k whose level is at least the (k+1)-th log
-    eigenvalue (all components if none is).  Zero eigenvalues are never
-    active and are left out; a zero target yields xi = max(eig) and zero
-    rate.
+    The level is ``_fill`` on the floors -log eig with budget R/m, and
+    xi = exp(-level); component i spends m times its depth, the positive
+    part of log(eig_i/xi) nats.  Zero eigenvalues are never active and are
+    left out; a zero target yields xi = max(eig) and zero rate.
     """
     eigs = np.asarray(source_eigs, dtype=float)
     if eigs.ndim != 1 or eigs.size == 0:
@@ -170,15 +175,9 @@ def reverse_waterfill(source_eigs, multiplicity: int,
         xi = float(pos.max())
         rate = 0.0
     else:
-        logs = np.sort(np.log(pos))[::-1]
-        u = (np.cumsum(logs) - target_rate / m) / np.arange(1, logs.size + 1)
-        # >= rather than >: with ties, or a rate below float resolution, the
-        # level can equal the next log eigenvalue exactly
-        passing = np.flatnonzero(u[:-1] >= logs[1:])
-        k = int(passing[0]) + 1 if passing.size else logs.size
-        log_xi = float(u[k - 1])
-        xi = math.exp(log_xi)
-        rate = m * float(np.sum(logs[:k] - log_xi))
+        level, filled = _fill(-np.log(pos), target_rate / m)
+        xi = math.exp(-level)
+        rate = m * float(filled.sum())
     per = np.minimum(xi, eigs)
     return ReverseWaterfillResult(xi, per, m * float(per.sum()), rate, xi == 0.0)
 

@@ -437,14 +437,14 @@ def test_parallel_jobs_match_serial(tmp_path):
 # explained in CHANGES.md.  Together they cover the serializer, the sweep
 # and curve records, the single warm start and the trace rows.
 DEFAULT_SWEEP_SHA256 = (
-    "fc8f28fa1b90c5dc4165799fb9fa89d0bbef34c206b4eea99db40dfee0278c89")
+    "8c46757ca4d7bf45779e5d7336f26f8980e655f6023d63f7881c0a966fec0054")
 OUTPUT_SHA256 = {
     "sweep --format json":
-        "c18003871c68558383e68f01ef04f8cf8727b7be8302fb3ef9f3a4ca87fcedd9",
+        "8be5fadd744e3b43f5595312fc3c1ba5700ee4bce24546aa820216b05541f74e",
     "sweep --scheme separated --curve-points 101 --seeds 0,1,2":
         "186bdb719bd236978afc06fe7a9d7ed19a697aca9e1c9ff640d4041899586a22",
     "sweep --dual-init sensing --seeds 0,1,2,3 --snr-s-db 60":
-        "e44bd2725168b072f66f0705a46b36f65dc38ea054c3c84143cdc688d9c2a92a",
+        "93fe0f577dd9999128923fbb33f0ae4d637161d9b1afba6cf18867399620e373",
     "trace --seed 0 --snr-c-db-list=-5,0,10,20":
         "dc1ebc77d0adbb0b53a33e5099cb240f6d0417f15dad4896a9a0de0b06850e40",
 }

@@ -98,6 +98,9 @@ def test_waterfill_input_validation():
         waterfill_capacity(1.0, np.array([-1.0]))
     with pytest.raises(ValueError):
         waterfill_capacity(1.0, np.array([np.inf]))
+    for p_c in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            waterfill_capacity(p_c, np.array([1.0, 2.0]))
 
 
 def test_waterfill_matches_sorting_oracle():
@@ -177,9 +180,30 @@ def test_reverse_rate_below_float_resolution():
     eigs = np.array([0.05, 0.0, 0.05, 0.02])
     res = reverse_waterfill(eigs, 3, 1e-300)
     assert res.xi == pytest.approx(0.05, rel=1e-15)
-    assert res.rate == pytest.approx(1e-300, abs=1e-15)
+    assert res.rate == pytest.approx(1e-300, rel=1e-12, abs=0.0)
     assert res.d_c == pytest.approx(3 * eigs.sum(), rel=1e-15)
     assert not res.saturated
+
+
+# eigenvalues in (0, 1), often tied or one ulp apart
+_UNIT_EIGS = st.one_of(
+    st.sampled_from([1e-3, 0.05, float(np.nextafter(0.05, 1.0)), 0.5,
+                     float(np.nextafter(1.0, 0.0))]),
+    st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+
+
+@given(eigs=st.lists(_UNIT_EIGS, min_size=1, max_size=8),
+       mult=st.integers(1, 5),
+       rate=st.one_of(st.just(0.0), st.floats(0.0, 1e3)))
+def test_reverse_mirrors_capacity_on_log_floors(eigs, mult, rate):
+    # reverse water-filling is capacity water-filling on floors -log eig
+    # with budget R/m, read back as xi = exp(-level); below the normal
+    # range exp keeps only absolute precision
+    eigs = np.array(eigs)
+    res = reverse_waterfill(eigs, mult, rate)
+    level = waterfill_capacity(rate / mult, 1.0 / -np.log(eigs)).level
+    assert res.xi == pytest.approx(math.exp(-level), rel=1e-12,
+                                   abs=np.finfo(float).tiny)
 
 
 def test_waterfill_capacity_monotone_concave_in_budget():
