@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import PowerAllocation, SystemConfig
+from .model import PowerAllocation, SystemConfig, read_only
 
 _STREAM_CHANNEL = 0
 # stream 1 is unused: renumbering the Monte Carlo stream would change its draws
@@ -36,8 +36,10 @@ def _complex_normal(rng: np.random.Generator, shape, var: float = 1.0) -> np.nda
 class CommChannel:
     """One realization of the forwarding link.
 
-    gram_eigs are the eigenvalues of h^H h in descending order (at most
-    min(m_c, n_tx) nonzero), eigvecs the matching orthonormal columns.
+    gram_eigs are the eigenvalues of h^H h in descending order, eigvecs the
+    matching orthonormal columns.  Past the first min(m_c, n_tx) the
+    eigenvalues are zero only up to round-off (about 1e-15 at seed 0), and
+    they are kept as computed, not zeroed.
     """
 
     h: np.ndarray
@@ -47,9 +49,7 @@ class CommChannel:
 
     def __post_init__(self):
         for name in ("h", "gram_eigs", "eigvecs"):
-            arr = np.array(getattr(self, name))
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, read_only(getattr(self, name)))
         if np.any(self.gram_eigs < 0) or np.any(np.diff(self.gram_eigs) > 0):
             raise ValueError("gram_eigs must be nonnegative and descending")
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (DistortionReport, PowerAllocation, SystemConfig,
-                    capacity_eigform, check_gains)
+                    capacity_eigform, check_vector, read_only)
 from .waterfilling import evaluate, uniform_allocation, waterfill_capacity
 
 INIT_SENSING = "sensing_optimal"
@@ -40,9 +40,7 @@ class DualSolution:
     converged: bool
 
     def __post_init__(self):
-        tr = np.array(self.objective_trace, dtype=float)
-        tr.setflags(write=False)
-        object.__setattr__(self, "objective_trace", tr)
+        object.__setattr__(self, "objective_trace", read_only(self.objective_trace))
 
 
 def evaluate_dual(alloc: PowerAllocation, cfg: SystemConfig, alphas) -> DistortionReport:
@@ -57,7 +55,7 @@ def evaluate_dual(alloc: PowerAllocation, cfg: SystemConfig, alphas) -> Distorti
 
 def capacity_gradient(alloc: PowerAllocation, alphas) -> np.ndarray:
     """Gradient of the forward-link rate with respect to the eigenvalues."""
-    a = check_gains(alphas, len(alloc))
+    a = check_vector(alphas, "alphas", len(alloc))
     return a / (a * alloc.lambdas + 1.0)
 
 
@@ -79,9 +77,10 @@ def optimize_dual(cfg: SystemConfig, alphas, init_kind: str = INIT_SENSING,
 
     Stops when an accepted step improves the objective by at most 1e-8 of
     the zero-power distortion ceiling m_s*n_tx*var_eta, when no halved step
-    size down to 1e-12 improves it at all, or at max_iters.  The base step
-    is p_total / l1-norm of the initial gradient so the first trial step
-    moves a budget-sized amount.
+    size down to 1e-12 * p_total**2 improves it at all, or at max_iters.
+    The base step is p_total / l1-norm of the initial gradient so the first
+    trial step moves a budget-sized amount; at fixed SNRs the gains scale as
+    1/p_total, so it scales as p_total**2, and so does the floor.
     """
     if init_kind == INIT_SENSING:
         alloc = uniform_allocation(cfg.p_total, cfg.n_tx)
@@ -94,17 +93,19 @@ def optimize_dual(cfg: SystemConfig, alphas, init_kind: str = INIT_SENSING,
 
     report = evaluate_dual(alloc, cfg, alphas)
     trace = [report.d_sc]
-    if not check_gains(alphas).any():
+    if not check_vector(alphas, "alphas").any():
         # dead link: the rate is identically zero, nothing to trade
         return DualSolution(alloc, report, 0, np.asarray(trace), init_kind, True)
     beta0 = cfg.p_total / float(np.abs(capacity_gradient(alloc, alphas)).sum())
     tol = 1e-8 * cfg.var_eta * cfg.m_s * cfg.n_tx
+    # a floor that underflowed to 0 would let beta halve forever
+    beta_min = max(_BETA_MIN * cfg.p_total * cfg.p_total, np.finfo(float).tiny)
 
     converged = True
     for _ in range(max_iters):
         beta = beta0
         accepted = None
-        while beta >= _BETA_MIN:
+        while beta >= beta_min:
             cand = gradient_step(alloc, beta, alphas, cfg.p_total)
             cand_report = evaluate_dual(cand, cfg, alphas)
             if cand_report.d_sc < trace[-1]:

@@ -14,7 +14,7 @@ import csv
 import io
 import json
 import os
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -43,9 +43,14 @@ class ConfigError(ValueError):
 
 @dataclass
 class ExperimentConfig:
-    """Full description of one experiment run."""
+    """Full description of one experiment run; system_for builds each point's system."""
 
-    system: SystemConfig
+    n_tx: int = 10
+    m_s: int = 5
+    m_c: int = 5
+    n_symbols: int = 100
+    var_eta: float = 0.1
+    p_total: float = 1.0
     snr_s_db: float = 20.0
     snr_c_db_list: tuple = (0.0, 5.0, 10.0, 15.0, 20.0)
     seeds: tuple = tuple(range(20))
@@ -98,14 +103,7 @@ class SweepRecord:
     flagged: str
 
 
-_EXPERIMENT_FIELDS = tuple(f for f in fields(ExperimentConfig) if f.name != "system")
-
-# the reference system, then every other ExperimentConfig field's default
-DEFAULTS = {
-    "n_tx": 10, "m_s": 5, "m_c": 5, "n_symbols": 100, "var_eta": 0.1,
-    "p_total": 1.0,
-    **{f.name: f.default for f in _EXPERIMENT_FIELDS},
-}
+DEFAULTS = {f.name: f.default for f in fields(ExperimentConfig)}
 
 
 def _integer(value) -> int:
@@ -133,17 +131,11 @@ def _coerce(key, value):
         raise ConfigError(f"invalid value for {key}: {value!r}") from exc
 
 
-def _check_snr(key: str, snr: float) -> None:
-    lo, hi = SNR_DB_RANGE
-    if not lo <= snr <= hi:
-        raise ConfigError(f"{key} must lie in [{lo:g}, {hi:g}] dB, got {snr!r}")
-
-
 def config_from_mapping(mapping: dict) -> ExperimentConfig:
     """Build an ExperimentConfig from flat key/value settings over the defaults.
 
-    The system parameters of every swept SNR are built here, so a value no
-    system can take (e.g. a non-finite SNR) fails before any point is solved.
+    The system of every swept SNR is built here by system_for, so a value
+    no system can take fails before any point is solved.
     The seeds are shifted by seed_offset() here too, so cfg.seeds are the
     seeds that get solved.
     """
@@ -152,26 +144,18 @@ def config_from_mapping(mapping: dict) -> ExperimentConfig:
         merged[key] = _coerce(key, value)
     offset = seed_offset()
     merged["seeds"] = tuple(seed + offset for seed in merged["seeds"])
-    _check_snr("snr_s_db", merged["snr_s_db"])
-    for snr in merged["snr_c_db_list"]:
-        _check_snr("snr_c_db", snr)
-    try:
-        base = SystemConfig(
-            n_tx=merged["n_tx"], m_s=merged["m_s"], m_c=merged["m_c"],
-            n_symbols=merged["n_symbols"], var_eta=merged["var_eta"],
-            var_s=1.0, var_c=1.0, p_total=merged["p_total"])
-        base = replace(base, var_s=noise_var_from_snr(merged["snr_s_db"], base))
-    except (ValueError, ArithmeticError) as exc:
-        raise ConfigError(str(exc)) from exc
-    cfg = ExperimentConfig(system=base,
-                           **{f.name: merged[f.name] for f in _EXPERIMENT_FIELDS})
-    systems = []
-    for snr in cfg.snr_c_db_list:
+    cfg = ExperimentConfig(**merged)
+    lo, hi = SNR_DB_RANGE
+    # at the sensing SNR var_c equals var_s, so a failure there is the
+    # system keys' own and names no swept SNR
+    for i, snr in enumerate((cfg.snr_s_db, *cfg.snr_c_db_list)):
+        key = "snr_c_db" if i else "snr_s_db"
+        if not lo <= snr <= hi:
+            raise ConfigError(f"{key} must lie in [{lo:g}, {hi:g}] dB, got {snr!r}")
         try:
-            systems.append(system_for(cfg, snr))
+            system_for(cfg, snr)
         except (ValueError, ArithmeticError) as exc:
-            raise ConfigError(f"snr_c_db {snr}: {exc}") from exc
-    cfg.system = systems[0]
+            raise ConfigError(f"{key} {snr}: {exc}" if i else str(exc)) from exc
     return cfg
 
 
@@ -201,9 +185,11 @@ def seed_offset() -> int:
 
 
 def system_for(cfg: ExperimentConfig, snr_c_db: float) -> SystemConfig:
-    """System parameters at one swept forward-link SNR."""
-    return replace(cfg.system,
-                   var_c=noise_var_from_snr(snr_c_db, cfg.system))
+    """System parameters at one swept forward-link SNR, with var_s from snr_s_db."""
+    return SystemConfig(
+        n_tx=cfg.n_tx, m_s=cfg.m_s, m_c=cfg.m_c, n_symbols=cfg.n_symbols,
+        var_eta=cfg.var_eta, var_s=noise_var_from_snr(cfg.snr_s_db, cfg),
+        var_c=noise_var_from_snr(snr_c_db, cfg), p_total=cfg.p_total)
 
 
 def _point_gains(cfg: ExperimentConfig, seed: int, snr_c_db: float):

@@ -14,6 +14,24 @@ from dataclasses import dataclass
 import numpy as np
 
 
+def check_vector(values, name: str, size: int | None = None) -> np.ndarray:
+    """``values`` as a nonempty 1-d finite nonnegative float vector (``size`` long if given)."""
+    a = np.asarray(values, dtype=float)
+    if a.ndim != 1 or a.size == 0 or (size is not None and a.size != size):
+        raise ValueError(f"{name} must be a nonempty 1-d vector of length {size or 'n'}, "
+                         f"got shape {a.shape}")
+    if np.any(a < 0) or not np.all(np.isfinite(a)):
+        raise ValueError(f"{name} must be nonnegative and finite")
+    return a
+
+
+def read_only(values) -> np.ndarray:
+    """A copy of ``values`` that cannot be written, in its own dtype."""
+    arr = np.array(values)
+    arr.setflags(write=False)
+    return arr
+
+
 @dataclass(frozen=True)
 class SystemConfig:
     """Scalar system parameters shared by every stage of the pipeline.
@@ -46,7 +64,8 @@ class SystemConfig:
         # actual length-T waveform (orthonormal rows exist only if T >= N).
         if self.n_symbols < self.n_tx:
             raise ValueError("n_symbols must be at least n_tx")
-        for name in ("var_eta", "var_s", "var_c", "p_total"):
+        # p_total before the noise variances, which are derived from it
+        for name in ("var_eta", "p_total", "var_s", "var_c"):
             v = getattr(self, name)
             if not (isinstance(v, (int, float, np.floating)) and math.isfinite(v) and v > 0):
                 raise ValueError(f"{name} must be a positive finite number, got {v!r}")
@@ -59,15 +78,8 @@ class PowerAllocation:
     lambdas: np.ndarray
 
     def __post_init__(self):
-        lam = np.array(self.lambdas, dtype=float)
-        if lam.ndim != 1 or lam.size == 0:
-            raise ValueError("allocation must be a nonempty 1-d vector")
-        if not np.all(np.isfinite(lam)):
-            raise ValueError("allocation entries must be finite")
-        if np.any(lam < 0):
-            raise ValueError("allocation entries must be nonnegative")
-        lam.setflags(write=False)
-        object.__setattr__(self, "lambdas", lam)
+        object.__setattr__(self, "lambdas",
+                           read_only(check_vector(self.lambdas, "allocation")))
 
     def __len__(self):
         return self.lambdas.size
@@ -103,18 +115,17 @@ class DistortionReport:
     source_eigs: np.ndarray
 
     def __post_init__(self):
-        eigs = np.array(self.source_eigs, dtype=float)
-        eigs.setflags(write=False)
-        object.__setattr__(self, "source_eigs", eigs)
+        object.__setattr__(self, "source_eigs", read_only(self.source_eigs))
         if self.d_sc != self.d_s + self.d_c:
             raise ValueError("d_sc must equal d_s + d_c exactly")
 
 
-def noise_var_from_snr(snr_db: float, cfg: SystemConfig) -> float:
+def noise_var_from_snr(snr_db: float, cfg) -> float:
     """Noise variance realizing a per-block SNR of ``snr_db`` decibels.
 
     The block SNR convention is T * p_total / variance, so
-    variance = T * p_total / 10**(snr_db / 10).
+    variance = T * p_total / 10**(snr_db / 10).  ``cfg`` needs only
+    n_symbols and p_total: a SystemConfig or an ExperimentConfig.
     """
     return cfg.n_symbols * cfg.p_total / 10.0 ** (snr_db / 10.0)
 
@@ -155,24 +166,13 @@ def sensing_distortion(alloc: PowerAllocation, cfg: SystemConfig) -> float:
     return cfg.m_s * float(np.sum(per))
 
 
-def check_gains(alphas, size: int | None = None) -> np.ndarray:
-    """Gains as a float vector, checked nonnegative and finite (and ``size`` long if given)."""
-    a = np.asarray(alphas, dtype=float)
-    if a.ndim != 1 or a.size == 0 or (size is not None and a.size != size):
-        raise ValueError(f"alphas must be a nonempty 1-d vector of length {size or 'n'}, "
-                         f"got shape {a.shape}")
-    if np.any(a < 0) or not np.all(np.isfinite(a)):
-        raise ValueError("alphas must be nonnegative and finite")
-    return a
-
-
 def capacity_eigform(alloc: PowerAllocation, alphas) -> float:
     """Forward-link rate (nats per block) of an eigendomain power allocation.
 
     alphas are the per-eigenchannel gains T * gram_eig / var_c, in the same
     basis and order as the allocation.
     """
-    a = check_gains(alphas, len(alloc))
+    a = check_vector(alphas, "alphas", len(alloc))
     return float(np.sum(np.log1p(a * alloc.lambdas)))
 
 

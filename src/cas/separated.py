@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 from .model import (DistortionReport, PowerAllocation, SystemConfig,
-                    check_gains, sensing_subchannel_distortion)
+                    check_vector, sensing_subchannel_distortion)
 from .waterfilling import (WaterfillResult, evaluate, uniform_allocation,
                            waterfill_capacity)
 
@@ -83,7 +83,7 @@ def optimize_separated(cfg: SystemConfig, alphas) -> SeparatedSolution:
     On a dead link (all gains zero) d_sc does not depend on the split, and
     p_s = 0 is returned with slope 0.
     """
-    if not check_gains(alphas).any():
+    if not check_vector(alphas, "alphas").any():
         p_s, slope, evals = 0.0, 0.0, 0
     else:
         lo, hi = 0.0, cfg.p_total

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (DistortionReport, PowerAllocation, SystemConfig,
-                    assemble_report, check_gains, sensing_distortion,
-                    source_eigenvalue)
+                    assemble_report, check_vector, read_only,
+                    sensing_distortion, source_eigenvalue)
 
 
 @dataclass(frozen=True)
@@ -53,17 +53,13 @@ class ReverseWaterfillResult:
     saturated: bool = False
 
     def __post_init__(self):
-        d = np.array(self.per_component_d, dtype=float)
-        d.setflags(write=False)
-        object.__setattr__(self, "per_component_d", d)
+        object.__setattr__(self, "per_component_d", read_only(self.per_component_d))
 
 
 def uniform_allocation(p_s: float, n: int) -> PowerAllocation:
     """Split ``p_s`` evenly over ``n`` eigenchannels (the isotropic profile)."""
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise ValueError(f"n must be a positive integer, got {n!r}")
-    if p_s < 0:
-        raise ValueError("power must be nonnegative")
     return PowerAllocation(np.full(int(n), float(p_s) / int(n)))
 
 
@@ -116,7 +112,7 @@ def waterfill_capacity(p_c: float, alphas) -> WaterfillResult:
     """
     if p_c < 0 or not math.isfinite(p_c):
         raise ValueError("power budget must be nonnegative and finite")
-    a = check_gains(alphas)
+    a = check_vector(alphas, "alphas")
     n = a.size
     pos = a > 0
     if not pos.any():
@@ -158,11 +154,7 @@ def reverse_waterfill(source_eigs, multiplicity: int,
     part of log(eig_i/xi) nats.  Zero eigenvalues are never active and are
     left out; a zero target yields xi = max(eig) and zero rate.
     """
-    eigs = np.asarray(source_eigs, dtype=float)
-    if eigs.ndim != 1 or eigs.size == 0:
-        raise ValueError("source_eigs must be a nonempty 1-d vector")
-    if np.any(eigs < 0) or not np.all(np.isfinite(eigs)):
-        raise ValueError("source eigenvalues must be nonnegative and finite")
+    eigs = check_vector(source_eigs, "source_eigs")
     if not isinstance(multiplicity, (int, np.integer)) or multiplicity < 1:
         raise ValueError(f"multiplicity must be a positive integer, got {multiplicity!r}")
     if target_rate < 0 or not np.isfinite(target_rate):

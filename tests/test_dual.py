@@ -5,6 +5,7 @@ from cas import (PowerAllocation, alphas_from_channel, evaluate_dual,
                  generate_rayleigh, optimize_dual_best)
 from cas.dual import (INIT_COMMUNICATION, INIT_SENSING, capacity_gradient,
                       gradient_step, optimize_dual)
+from cas.experiment import ExperimentConfig, system_for
 from cas.waterfilling import uniform_allocation, waterfill_capacity
 from conftest import reference_system
 
@@ -142,3 +143,16 @@ def test_optimize_dual_validation(cfg10):
         optimize_dual(cfg10, alphas, init_kind="other")
     with pytest.raises(ValueError):
         optimize_dual(cfg10, alphas, max_iters=0)
+
+
+def test_search_does_not_depend_on_power_scale():
+    # at fixed SNRs the model is the same at every p_total, and so must be
+    # the search; its step floor must scale with its step, or no step is
+    # ever tried at p_total 1e-8
+    def solve(p_total):
+        cfg = system_for(ExperimentConfig(p_total=p_total), 10.0)
+        return optimize_dual_best(cfg, channel_alphas(3, cfg))
+
+    ref, small = solve(1.0), solve(1e-8)
+    assert ref.iterations > 0 and small.iterations > 0
+    assert small.report.d_sc == pytest.approx(ref.report.d_sc, rel=1e-9)

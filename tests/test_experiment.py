@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import os
 import subprocess
@@ -48,12 +49,12 @@ def src_env():
 
 def test_defaults_match_reference_setup():
     cfg = config_from_mapping({})
-    assert cfg.system.n_tx == 10
-    assert cfg.system.m_s == 5
-    assert cfg.system.m_c == 5
-    assert cfg.system.n_symbols == 100
-    assert cfg.system.var_eta == 0.1
-    assert cfg.system.var_s == pytest.approx(1.0)
+    assert cfg.n_tx == 10
+    assert cfg.m_s == 5
+    assert cfg.m_c == 5
+    assert cfg.n_symbols == 100
+    assert cfg.var_eta == 0.1
+    assert experiment.system_for(cfg, 0.0).var_s == pytest.approx(1.0)
     assert cfg.seeds == tuple(range(20))
     assert cfg.snr_c_db_list == (0.0, 5.0, 10.0, 15.0, 20.0)
     assert cfg.scheme == "both"
@@ -68,6 +69,11 @@ def test_config_validation_errors():
         config_from_mapping({"seeds": ""})
     with pytest.raises(ConfigError):
         config_from_mapping({"jobs": "0"})
+    for mapping in ({"dual_init": "random"}, {"output_format": "xml"},
+                    {"seeds": []}, {"snr_c_db_list": []},
+                    {"curve_points": -1}):
+        with pytest.raises(ConfigError):
+            config_from_mapping(mapping)
     # the separated solver has no grid to configure, and the dual search's
     # stop tolerance is fixed
     for key in ("grid_l", "tol", "eps"):
@@ -99,7 +105,7 @@ def test_config_file_parsing(tmp_path):
         "scheme = separated\n"
         "\n")
     cfg = config_from_mapping(parse_config_file(str(path)))
-    assert cfg.system.n_tx == 4
+    assert cfg.n_tx == 4
     assert cfg.seeds == (0, 1)
     assert cfg.snr_c_db_list == (5.0, 15.0)
     assert cfg.scheme == "separated"
@@ -269,6 +275,22 @@ def test_compare_summary_text(tmp_path):
     # dual never loses on the configured points, so gains are positive
     for line in lines[1:]:
         assert float(line.split()[-1]) > 0
+
+
+def test_compare_summary_ignores_grid_rows(tmp_path):
+    plain = collect_sweep(small_cfg(tmp_path))
+    with_grid = collect_sweep(small_cfg(tmp_path, curve_points="3"))
+    assert any(r.scheme == "separated_grid" for r in with_grid)
+    assert compare_summary(with_grid) == compare_summary(plain)
+
+
+def test_readme_configuration_table_matches_defaults():
+    readme = os.path.join(os.path.dirname(__file__), "..", "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith("| key "))
+    rows = itertools.takewhile(lambda line: line.startswith("|"), lines[start + 2:])
+    assert [row.split("`")[1] for row in rows] == list(experiment.DEFAULTS)
 
 
 def test_cli_point_stdout(tmp_path, capsys):
@@ -494,7 +516,7 @@ def test_run_point_invariants_over_config_space(mapping):
     cfg = config_from_mapping(mapping)
     records = run_point(cfg, cfg.seeds[0], cfg.snr_c_db_list[0])
     assert sorted(r.scheme for r in records) == ["dual", "separated"]
-    ceiling = cfg.system.m_s * cfg.system.n_tx * cfg.system.var_eta
+    ceiling = cfg.m_s * cfg.n_tx * cfg.var_eta
     for rec in records:
         assert rec.d_sc == rec.d_s + rec.d_c
         assert 0.0 <= rec.d_sc <= ceiling

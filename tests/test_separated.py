@@ -81,6 +81,17 @@ def test_optimizer_solution_consistency(cfg10):
     assert sol.report.d_sc <= evaluate_split(1.0, cfg10, alphas).d_sc + 1e-12
 
 
+def test_optimizer_right_end_exit():
+    # at a sensing SNR of -300 dB the sensed source g(p_total/n) rounds to
+    # zero, so nothing is left to forward and the slope at p_total is 0
+    cfg = reference_system(10.0, snr_s_db=-300.0)
+    sol = optimize_separated(cfg, channel_alphas(0, cfg))
+    assert sol.p_s == cfg.p_total
+    assert sol.slope == 0.0
+    assert sol.evaluations == 2
+    assert sol.report.d_sc == cfg.m_s * cfg.n_tx * cfg.var_eta
+
+
 def test_optimizer_validation(cfg10):
     for bad in (-np.ones(cfg10.n_tx), np.full(cfg10.n_tx, np.inf), np.ones((2, 5))):
         with pytest.raises(ValueError):

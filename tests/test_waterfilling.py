@@ -79,7 +79,7 @@ def test_waterfill_tiny_budget_is_kept():
         for a in ([1.0], [0.1, 0.1, 0.1], [3.0, 3.0, 0.5, 0.0],
                   [2.0, float(np.nextafter(2.0, 3.0))]):
             res = waterfill_capacity(p_c, np.array(a))
-            assert res.alloc.total == pytest.approx(p_c, rel=1e-12)
+            assert res.alloc.total == pytest.approx(p_c, rel=1e-12, abs=0.0)
             assert res.kkt_residual <= 1e-8
 
 
@@ -171,7 +171,7 @@ def test_reverse_matches_rate_oracle_with_ties(eigs, mult, frac):
     assert not res.saturated
     assert res.rate == pytest.approx(rate, rel=1e-12, abs=1e-12)
     if rate > 0:
-        assert res.xi == pytest.approx(xi_true, rel=1e-12)
+        assert res.xi == pytest.approx(xi_true, rel=1e-12, abs=0.0)
         assert reverse_rate_oracle(eigs, mult, res.xi) == pytest.approx(rate, rel=1e-9)
     assert res.d_c == mult * float(np.minimum(res.xi, eigs).sum())
 
