@@ -195,8 +195,8 @@ def system_for(cfg: ExperimentConfig, snr_c_db: float) -> SystemConfig:
 def _point_gains(cfg: ExperimentConfig, seed: int, snr_c_db: float):
     """System parameters at ``snr_c_db`` and the channel gains of seed's draw."""
     sys_cfg = system_for(cfg, snr_c_db)
-    ch = generate_rayleigh(seed, sys_cfg.m_c, sys_cfg.n_tx)
-    return sys_cfg, alphas_from_channel(ch, sys_cfg)
+    gram_eigs = generate_rayleigh(seed, sys_cfg.m_c, sys_cfg.n_tx)
+    return sys_cfg, alphas_from_channel(gram_eigs, sys_cfg)
 
 
 def run_point(cfg: ExperimentConfig, seed: int, snr_c_db: float) -> list:

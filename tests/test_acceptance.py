@@ -16,14 +16,15 @@ import pytest
 from cas import (DualSolution, PowerAllocation, SeparatedSolution,
                  SystemConfig, alphas_from_channel, evaluate_dual,
                  evaluate_split, generate_rayleigh, optimize_separated)
-from cas.channel import (exact_waveform, mmse_matrix_oracle,
-                         mmse_monte_carlo_stats)
 from cas.dual import INIT_COMMUNICATION, INIT_SENSING, optimize_dual
+from cas.experiment import collect_sweep, config_from_mapping
 from cas.model import sensing_distortion
 from cas.waterfilling import (reverse_waterfill, uniform_allocation,
                               waterfill_capacity)
 from cas.cli import main
 from conftest import reference_system
+from oracles import (exact_waveform, mmse_matrix_oracle, mmse_monte_carlo_stats,
+                     random_unitary)
 
 N_SEEDS = 20
 SWEEP_SNRS = (0.0, 5.0, 10.0, 15.0, 20.0)
@@ -35,13 +36,6 @@ def report(num, ok, detail=""):
         line += f" ({detail})"
     print(line)
     assert ok, line
-
-
-def random_unitary(n, seed):
-    rng = np.random.default_rng(seed)
-    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    q, r = np.linalg.qr(z)
-    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
 
 
 @dataclass
@@ -239,6 +233,21 @@ def test_criterion_08_dual_vs_separated_gain(reference_grid):
                                     for snr in SWEEP_SNRS)
            + f"; dual curve at or below separated at every SNR: {curve_ok}"
            + flag_note)
+
+
+def test_gain_with_one_sensing_antenna_and_wide_link():
+    """Criterion 8's metric at m_s 1, m_c 10, SNR_s 30 dB lies in its band [0.10, 0.45].
+
+    With one sensing antenna there is no m_s multiplicity, so no choice of
+    normalization can move the gain (README, "Acceptance status").
+    """
+    cfg = config_from_mapping({"m_s": 1, "m_c": 10, "snr_s_db": 30.0,
+                               "snr_c_db_list": (5.0, 10.0)})
+    d_sc = {(r.scheme, r.seed, r.snr_c_db): r.d_sc for r in collect_sweep(cfg)}
+    gains = {snr: float(np.mean([(d_sc["separated", s, snr] - d_sc["dual", s, snr])
+                                 / d_sc["separated", s, snr] for s in cfg.seeds]))
+             for snr in cfg.snr_c_db_list}
+    assert all(0.10 <= g <= 0.45 for g in gains.values()), gains
 
 
 def test_criterion_09_dead_link_identity():

@@ -3,80 +3,61 @@ import pytest
 
 from cas import (PowerAllocation, SystemConfig, alphas_from_channel,
                  generate_rayleigh)
-from cas.channel import (CommChannel, covariance_from_alloc, exact_waveform,
-                         mmse_matrix_oracle, mmse_monte_carlo_stats)
 from cas.model import capacity_eigform, sensing_distortion
 from cas.waterfilling import uniform_allocation, waterfill_capacity
 from conftest import reference_system
-
-
-def logdet_capacity(h, cov, cfg):
-    """Independent mutual-information oracle, no eigen decomposition."""
-    m_c = h.shape[0]
-    inner = np.eye(m_c, dtype=complex) + (cfg.n_symbols / cfg.var_c) * (h @ cov @ h.conj().T)
-    sign, logdet = np.linalg.slogdet(inner)
-    assert sign.real > 0
-    return float(logdet.real)
-
-
-def random_unitary(n, seed):
-    rng = np.random.default_rng(seed)
-    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    q, r = np.linalg.qr(z)
-    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+from oracles import (channel_matrix, covariance_from_alloc, exact_waveform,
+                     logdet_capacity, mmse_matrix_oracle, mmse_monte_carlo_stats,
+                     random_unitary)
 
 
 def test_generate_rayleigh_deterministic():
     a = generate_rayleigh(3, 5, 10)
     b = generate_rayleigh(3, 5, 10)
     c = generate_rayleigh(4, 5, 10)
-    assert np.array_equal(a.h, b.h)
-    assert np.array_equal(a.gram_eigs, b.gram_eigs)
-    assert not np.array_equal(a.h, c.h)
+    assert np.array_equal(a, b)
+    assert not np.array_equal(a, c)
 
 
 def test_generate_rayleigh_moments():
-    ch = generate_rayleigh(0, 200, 500)
-    power = np.abs(ch.h) ** 2
+    h = channel_matrix(0, 200, 500)
+    power = np.abs(h) ** 2
     assert power.mean() == pytest.approx(1.0, abs=0.02)
     # real and imaginary parts carry half the power each
-    assert (ch.h.real ** 2).mean() == pytest.approx(0.5, abs=0.02)
+    assert (h.real ** 2).mean() == pytest.approx(0.5, abs=0.02)
 
 
 def test_generate_rayleigh_eigenstructure():
-    ch = generate_rayleigh(1, 5, 10)
-    assert ch.gram_eigs.shape == (10,)
-    assert np.all(ch.gram_eigs >= 0)
-    assert np.all(np.diff(ch.gram_eigs) <= 0)
+    eigs = generate_rayleigh(1, 5, 10)
+    assert eigs.shape == (10,)
+    assert not eigs.flags.writeable
+    assert np.all(eigs >= 0)
+    assert np.all(np.diff(eigs) <= 0)
     # rank is at most m_c
-    assert np.all(ch.gram_eigs[5:] <= 1e-10 * ch.gram_eigs[0])
-    v = ch.eigvecs
+    assert np.all(eigs[5:] <= 1e-10 * eigs[0])
+    h = channel_matrix(1, 5, 10)
+    gram = h.conj().T @ h
+    w, v = np.linalg.eigh(gram)
+    # the reference draw is the package's draw, to the last bit
+    assert np.array_equal(eigs, np.maximum(w[::-1], 0.0))
+    v = v[:, ::-1]
     assert np.abs(v.conj().T @ v - np.eye(10)).max() < 1e-10
-    gram = ch.h.conj().T @ ch.h
-    rebuilt = (v * ch.gram_eigs) @ v.conj().T
-    assert np.abs(gram - rebuilt).max() < 1e-10 * ch.gram_eigs[0]
+    rebuilt = (v * eigs) @ v.conj().T
+    assert np.abs(gram - rebuilt).max() < 1e-10 * eigs[0]
 
 
 def test_alphas_from_channel_examples():
     cfg = reference_system(10.0)
     one = SystemConfig(n_tx=1, m_s=1, m_c=1, n_symbols=100,
                        var_eta=0.1, var_s=1.0, var_c=10.0, p_total=1.0)
-    ch = CommChannel(h=np.ones((1, 1), dtype=complex),
-                     gram_eigs=np.array([1.0]),
-                     eigvecs=np.eye(1, dtype=complex), seed=0)
-    assert np.allclose(alphas_from_channel(ch, one), [10.0])
+    assert np.allclose(alphas_from_channel(np.array([1.0]), one), [10.0])
     two = SystemConfig(n_tx=2, m_s=1, m_c=2, n_symbols=100,
                        var_eta=0.1, var_s=1.0, var_c=10.0, p_total=1.0)
-    ch2 = CommChannel(h=np.zeros((2, 2), dtype=complex),
-                      gram_eigs=np.array([2.0, 1.0]),
-                      eigvecs=np.eye(2, dtype=complex), seed=0)
-    assert np.allclose(alphas_from_channel(ch2, two), [20.0, 10.0])
-    dead = CommChannel(h=np.zeros((2, 2), dtype=complex),
-                       gram_eigs=np.zeros(2),
-                       eigvecs=np.eye(2, dtype=complex), seed=0)
-    assert np.all(alphas_from_channel(dead, two) == 0.0)
+    eigs = np.array([2.0, 1.0])
+    assert np.allclose(alphas_from_channel(eigs, two), [20.0, 10.0])
+    assert np.all(alphas_from_channel(np.zeros(2), two) == 0.0)
     with pytest.raises(ValueError):
-        alphas_from_channel(ch2, cfg)
+        alphas_from_channel(eigs, cfg)
 
 
 def test_covariance_from_alloc():
@@ -135,12 +116,13 @@ def test_closed_form_matches_matrix_oracle():
 def test_capacity_eigform_matches_logdet():
     cfg = reference_system(10.0)
     for seed in range(5):
-        ch = generate_rayleigh(seed, 5, 10)
-        alphas = alphas_from_channel(ch, cfg)
+        alphas = alphas_from_channel(generate_rayleigh(seed, 5, 10), cfg)
         alloc = waterfill_capacity(cfg.p_total, alphas).alloc
-        cov = covariance_from_alloc(alloc, ch.eigvecs)
+        h = channel_matrix(seed, 5, 10)
+        eigvecs = np.linalg.eigh(h.conj().T @ h)[1][:, ::-1]
+        cov = covariance_from_alloc(alloc, eigvecs)
         eig = capacity_eigform(alloc, alphas)
-        logdet = logdet_capacity(ch.h, cov, cfg)
+        logdet = logdet_capacity(h, cov, cfg)
         assert logdet == pytest.approx(eig, rel=1e-9, abs=1e-12)
 
 
@@ -167,12 +149,10 @@ def test_mmse_monte_carlo_validation(cfg10):
         mmse_monte_carlo_stats(uniform_allocation(1.0, 9), cfg10, trials=10, seed=0)
 
 
-def test_channel_input_validation():
+def test_channel_input_validation(cfg10):
     with pytest.raises(ValueError):
         generate_rayleigh(0, 0, 5)
-    with pytest.raises(ValueError):
-        CommChannel(h=np.zeros((2, 2)), gram_eigs=np.array([1.0, 2.0]),
-                    eigvecs=np.eye(2), seed=0)
-    with pytest.raises(ValueError):
-        CommChannel(h=np.zeros((2, 2)), gram_eigs=np.array([2.0, -1.0]),
-                    eigvecs=np.eye(2), seed=0)
+    ones = np.ones(9)
+    for bad in (np.r_[ones, -1.0], np.r_[ones, np.nan], np.ones((1, 10))):
+        with pytest.raises(ValueError):
+            alphas_from_channel(bad, cfg10)
