@@ -14,9 +14,8 @@ _STREAM_CHANNEL = 0
 
 
 def _rng(stream: int, *keys: int) -> np.random.Generator:
-    # fold into the nonnegative range SeedSequence accepts
-    folded = [int(k) % (2 ** 63) for k in keys]
-    return np.random.default_rng([stream, *folded])
+    # SeedSequence refuses a negative key, and keys of any size get their own draw
+    return np.random.default_rng([stream, *map(int, keys)])
 
 
 def _complex_normal(rng: np.random.Generator, shape, var: float = 1.0) -> np.ndarray:

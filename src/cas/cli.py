@@ -13,11 +13,24 @@ from .experiment import (DEFAULTS, ConfigError, collect_sweep, collect_trace,
                          parse_config_file, render_records, render_trace,
                          write_output)
 
-# every configuration key has a --<key> flag; the output ones have their own
-_OVERRIDE_KEYS = tuple(k for k in DEFAULTS
-                       if k not in ("output_path", "output_format"))
-_VALUE_FLAGS = frozenset(["--seed", "--snr-c-db"]
-                         + ["--" + k.replace("_", "-") for k in _OVERRIDE_KEYS])
+# flag -> configuration key.  Every key has one --<key> flag, except the two
+# output keys, which are --output and --format; --seed and --snr-c-db are
+# one-value spellings of --seeds and --snr-c-db-list.  The flags named after
+# their key are left out of --help.
+FLAGS = {"--output": "output_path", "--format": "output_format",
+         "--seed": "seeds", "--snr-c-db": "snr_c_db_list",
+         **{"--" + key.replace("_", "-"): key for key in DEFAULTS
+            if not key.startswith("output_")}}
+
+# command -> (help, settings under the user's, settings over the user's)
+COMMANDS = {
+    "point": ("solve one (seed, snr) point for the configured schemes", {}, {}),
+    "sweep": ("solve the full seed x snr grid and write records", {}, {}),
+    "trace": ("record per-iteration objectives of both dual warm starts "
+              "at the first seed and every snr", {"output_path": "trace.csv"}, {}),
+    "compare": ("sweep both schemes and print per-snr mean distortions",
+                {}, {"scheme": "both"}),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -26,27 +39,13 @@ def build_parser() -> argparse.ArgumentParser:
         description="Transmit power allocation experiments for "
                     "communication-assisted sensing")
     sub = parser.add_subparsers(dest="command", required=True)
-    specs = {
-        "point": "solve one (seed, snr) point for the configured schemes",
-        "sweep": "solve the full seed x snr grid and write records",
-        "trace": "record per-iteration objectives of both dual warm starts "
-                 "at the first seed and every snr",
-        "compare": "sweep both schemes and print per-snr mean distortions",
-    }
-    for name, help_text in specs.items():
+    for name, (help_text, _, _) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="flat key = value configuration file")
-        p.add_argument("--output", help="output path (overrides output_path)")
-        p.add_argument("--format", choices=("csv", "json"),
-                       help="output format (overrides output_format)")
-        for key in _OVERRIDE_KEYS:
-            p.add_argument("--" + key.replace("_", "-"), dest=key,
-                           metavar="V", help=argparse.SUPPRESS)
-        if name in ("point", "trace"):
-            p.add_argument("--seed", type=int,
-                           help="channel seed (overrides seeds)")
-            p.add_argument("--snr-c-db", type=float, dest="snr_c_db",
-                           help="forward-link SNR in dB (overrides snr_c_db_list)")
+        for flag, key in FLAGS.items():
+            named = flag == "--" + key.replace("_", "-")
+            p.add_argument(flag, dest=key,
+                           help=argparse.SUPPRESS if named else f"sets {key}")
     return parser
 
 
@@ -59,32 +58,20 @@ def _attach_values(argv: list) -> list:
     out = []
     args = iter(argv)
     for arg in args:
-        value = next(args, None) if arg in _VALUE_FLAGS else None
+        value = next(args, None) if arg in FLAGS else None
         out.append(arg if value is None else f"{arg}={value}")
     return out
 
 
 def _build_config(args):
-    mapping = {}
+    """Merge, lowest first: command defaults, config file, flags, command overrides."""
+    _, under, over = COMMANDS[args.command]
+    mapping = dict(under)
     if args.config:
         mapping.update(parse_config_file(args.config))
-    explicit_output = args.output is not None or "output_path" in mapping
-    for key in _OVERRIDE_KEYS:
-        value = getattr(args, key, None)
-        if value is not None:
-            mapping[key] = value
-    if getattr(args, "seed", None) is not None:
-        mapping["seeds"] = (args.seed,)
-    if getattr(args, "snr_c_db", None) is not None:
-        mapping["snr_c_db_list"] = (args.snr_c_db,)
-    if args.output is not None:
-        mapping["output_path"] = args.output
-    if args.format is not None:
-        mapping["output_format"] = args.format
-    if args.command == "compare":
-        mapping["scheme"] = "both"
-    if args.command == "trace" and not explicit_output:
-        mapping["output_path"] = "trace.csv"
+    mapping.update((key, value) for key, value in vars(args).items()
+                   if key in DEFAULTS and value is not None)
+    mapping.update(over)
     cfg = config_from_mapping(mapping)
     if args.command == "point":
         # a one-point sweep: every configured SNR is checked above, and the
@@ -117,7 +104,7 @@ def main(argv=None) -> int:
             collect, render = collect_trace, render_trace
         else:
             collect, render = collect_sweep, render_records
-        if args.command == "point" and args.output is None:
+        if args.command == "point" and args.output_path is None:
             collected = collect(cfg)
             sys.stdout.write(render(collected, cfg.output_format))
         else:

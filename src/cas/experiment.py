@@ -72,6 +72,8 @@ class ExperimentConfig:
             raise ConfigError("snr_c_db_list must be nonempty")
         if not self.seeds:
             raise ConfigError("seeds must be nonempty")
+        if min(self.seeds) < 0:
+            raise ConfigError(f"seeds must be nonnegative, got {min(self.seeds)}")
         if self.jobs < 1:
             raise ConfigError("jobs must be at least 1")
         if self.curve_points < 0:

@@ -17,6 +17,11 @@ def test_generate_rayleigh_deterministic():
     c = generate_rayleigh(4, 5, 10)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+    # a seed past 2**63 has a draw of its own, and a negative seed has none
+    assert not np.array_equal(generate_rayleigh(2 ** 63 + 5, 5, 10),
+                              generate_rayleigh(5, 5, 10))
+    with pytest.raises(ValueError):
+        generate_rayleigh(-1, 5, 10)
 
 
 def test_generate_rayleigh_moments():

@@ -2,6 +2,8 @@ import hashlib
 import itertools
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 
@@ -12,7 +14,8 @@ from hypothesis import strategies as st
 
 from cas import (alphas_from_channel, evaluate_split, experiment,
                  generate_rayleigh)
-from cas.cli import main
+from cas.cli import (COMMANDS, FLAGS, _attach_values, _build_config,
+                     build_parser, main)
 from cas.dual import optimize_dual
 from cas.experiment import (CSV_COLUMNS, TRACE_COLUMNS, ConfigError,
                             collect_sweep, compare_summary,
@@ -209,14 +212,24 @@ def test_seed_offset_env(tmp_path, monkeypatch):
 
 
 def test_bad_seed_offset_leaves_output_untouched(tmp_path, monkeypatch, capsys):
-    # the offset is read before the output opens, so an existing file survives
-    monkeypatch.setenv("CAS_SEED_OFFSET", "abc")
+    # the offset is read and the shifted seeds are checked before the output
+    # opens, so an existing file survives
     out = tmp_path / "kept.csv"
     out.write_bytes(b"earlier results\n")
-    for command in ("sweep", "trace"):
-        assert main([command, "--output", str(out)]) == 2, command
-        assert capsys.readouterr().err.startswith("configuration error: ")
-        assert out.read_bytes() == b"earlier results\n"
+    for offset, error in (("abc", "CAS_SEED_OFFSET must be an integer"),
+                          ("-1", "seeds must be nonnegative, got -1")):
+        monkeypatch.setenv("CAS_SEED_OFFSET", offset)
+        for command in ("sweep", "trace"):
+            assert main([command, "--output", str(out)]) == 2, command
+            assert capsys.readouterr().err.startswith("configuration error: " + error)
+            assert out.read_bytes() == b"earlier results\n"
+    # a negative seed is refused, not aliased to another seed's draw
+    monkeypatch.delenv("CAS_SEED_OFFSET")
+    assert main(["point", "--seeds=-1", "--snr-c-db-list", "10",
+                 "--output", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "configuration error: seeds must be nonnegative, got -1\n")
+    assert out.read_bytes() == b"earlier results\n"
 
 
 def test_unwritable_output_fails_fast(tmp_path):
@@ -341,6 +354,57 @@ def test_cli_trace_default_name(tmp_path, monkeypatch):
     lines = (tmp_path / "trace.csv").read_text().splitlines()
     assert lines[0] == ",".join(TRACE_COLUMNS)
     assert {line.split(",")[0] for line in lines[1:]} == {"10"}
+
+
+def test_cli_command_settings(tmp_path, monkeypatch, capsys):
+    # trace's output_path lies under the config file, and compare's scheme
+    # over the flags
+    monkeypatch.chdir(tmp_path)
+    cfgfile = tmp_path / "exp.cfg"
+    cfgfile.write_text("seeds = 0\nsnr_c_db_list = 10\noutput_path = file.csv\n")
+    assert main(["trace", "--config", str(cfgfile)]) == 0
+    assert (tmp_path / "file.csv").exists()
+    assert not (tmp_path / "trace.csv").exists()
+    assert main(["compare", "--seeds", "0", "--snr-c-db-list", "10",
+                 "--scheme", "dual", "--output", "c.csv"]) == 0
+    rows = (tmp_path / "c.csv").read_text().splitlines()[1:]
+    assert sorted(row.split(",")[0] for row in rows) == ["dual", "separated"]
+    # the one-value shorthands work on every command
+    assert main(["sweep", "--seed", "3", "--snr-c-db", "10",
+                 "--output", "short.csv"]) == 0
+    assert main(["sweep", "--seeds", "3", "--snr-c-db-list", "10",
+                 "--output", "long.csv"]) == 0
+    assert (tmp_path / "short.csv").read_bytes() == (tmp_path / "long.csv").read_bytes()
+
+
+def test_cli_help_lists_common_options(capsys):
+    for command in COMMANDS:
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([command, "--help"])
+        listed = capsys.readouterr().out
+        for flag in ("--config", "--output", "--format", "--seed", "--snr-c-db"):
+            assert flag + " " in listed, (command, flag)
+
+
+def test_readme_command_lines_build(monkeypatch):
+    # every documented command line parses and builds its configuration;
+    # nothing is solved
+    monkeypatch.delenv("CAS_SEED_OFFSET", raising=False)
+    readme = os.path.join(os.path.dirname(__file__), "..", "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        text = fh.read()
+    sections = [text.split(f"\n## {title}\n", 1)[1].split("\n## ", 1)[0]
+                for title in ("Command line", "Figure data")]
+    lines = [line for section in sections
+             for line in re.findall(r"(?:^|`)(cas [^`#\n]+)", section, re.M)]
+    assert len(lines) >= 7
+    for line in lines:
+        _build_config(build_parser().parse_args(_attach_values(shlex.split(line)[1:])))
+    # every key has exactly one flag besides the two one-value shorthands
+    shorthands = {"--seed": "seeds", "--snr-c-db": "snr_c_db_list"}
+    assert {flag: FLAGS[flag] for flag in shorthands} == shorthands
+    assert (sorted(key for flag, key in FLAGS.items() if flag not in shorthands)
+            == sorted(experiment.DEFAULTS))
 
 
 def test_cli_config_file_and_flag_precedence(tmp_path, capsys):
