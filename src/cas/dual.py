@@ -4,9 +4,11 @@ A single waveform serves sensing and forwarding simultaneously, so the full
 budget rides on one eigenvalue profile evaluated against both stages.  The
 profile is improved by stepping along the capacity gradient and rescaling
 back onto the power simplex, with a halving line search that only accepts
-strict descent of the end-to-end distortion.  Both natural warm starts are
-available: the sensing-optimal uniform profile and the capacity-optimal
-water-filling profile.
+strict descent of the end-to-end distortion.  The search works in units of
+the budget: its direction is the rate gradient of the unit profile
+lam/p_total and its step sizes are pure numbers, so no p_total can overflow
+or stall it.  Both natural warm starts are available: the sensing-optimal
+uniform profile and the capacity-optimal water-filling profile.
 """
 
 from dataclasses import dataclass
@@ -21,6 +23,7 @@ INIT_SENSING = "sensing_optimal"
 INIT_COMMUNICATION = "communication_optimal"
 
 _BETA_MIN = 1e-12
+_MAX_ITERS = 500
 
 
 @dataclass(frozen=True)
@@ -59,28 +62,28 @@ def capacity_gradient(alloc: PowerAllocation, alphas) -> np.ndarray:
     return a / (a * alloc.lambdas + 1.0)
 
 
-def gradient_step(alloc: PowerAllocation, beta: float, alphas,
+def gradient_step(alloc: PowerAllocation, beta: float, direction,
                   p_total: float) -> PowerAllocation:
-    """Move along the rate gradient, then rescale onto the power simplex."""
+    """Move ``beta`` along a unit-profile ``direction``, then rescale onto the power simplex."""
     if beta < 0:
         raise ValueError("step size must be nonnegative")
-    moved = alloc.lambdas + beta * capacity_gradient(alloc, alphas)
+    moved = alloc.lambdas + p_total * (beta * direction)
     s = float(moved.sum())
     if s <= 0:
         raise ValueError("degenerate step: zero allocation and zero gradient")
     return PowerAllocation(moved * (float(p_total) / s))
 
 
-def optimize_dual(cfg: SystemConfig, alphas, init_kind: str = INIT_SENSING,
-                  max_iters: int = 500) -> DualSolution:
+def optimize_dual(cfg: SystemConfig, alphas,
+                  init_kind: str = INIT_SENSING) -> DualSolution:
     """Descent on the dual-functional profile from one warm start.
 
-    Stops when an accepted step improves the objective by at most 1e-8 of
-    the zero-power distortion ceiling m_s*n_tx*var_eta, when no halved step
-    size down to 1e-12 * p_total**2 improves it at all, or at max_iters.
-    The base step is p_total / l1-norm of the initial gradient so the first
-    trial step moves a budget-sized amount; at fixed SNRs the gains scale as
-    1/p_total, so it scales as p_total**2, and so does the floor.
+    The direction is p_total times the rate gradient, taken at the warm
+    start and after each accepted step, and the base step is 1 over its
+    l1-norm, so the first trial step moves a budget-sized amount.  Stops
+    when an accepted step improves the objective by at most 1e-8 of the
+    zero-power distortion ceiling m_s*n_tx*var_eta, when no halved step
+    size down to _BETA_MIN improves it at all, or after _MAX_ITERS steps.
     """
     if init_kind == INIT_SENSING:
         alloc = uniform_allocation(cfg.p_total, cfg.n_tx)
@@ -88,36 +91,32 @@ def optimize_dual(cfg: SystemConfig, alphas, init_kind: str = INIT_SENSING,
         alloc = waterfill_capacity(cfg.p_total, alphas).alloc
     else:
         raise ValueError(f"unknown init_kind {init_kind!r}")
-    if max_iters < 1:
-        raise ValueError("max_iters must be positive")
 
     report = evaluate_dual(alloc, cfg, alphas)
     trace = [report.d_sc]
-    if not check_vector(alphas, "alphas").any():
+    direction = cfg.p_total * capacity_gradient(alloc, alphas)
+    if not direction.any():
         # dead link: the rate is identically zero, nothing to trade
         return DualSolution(alloc, report, 0, np.asarray(trace), init_kind, True)
-    beta0 = cfg.p_total / float(np.abs(capacity_gradient(alloc, alphas)).sum())
+    beta0 = 1.0 / float(np.abs(direction).sum())
     tol = 1e-8 * cfg.var_eta * cfg.m_s * cfg.n_tx
-    # a floor that underflowed to 0 would let beta halve forever
-    beta_min = max(_BETA_MIN * cfg.p_total * cfg.p_total, np.finfo(float).tiny)
 
     converged = True
-    for _ in range(max_iters):
+    for _ in range(_MAX_ITERS):
         beta = beta0
-        accepted = None
-        while beta >= beta_min:
-            cand = gradient_step(alloc, beta, alphas, cfg.p_total)
+        while beta >= _BETA_MIN:
+            cand = gradient_step(alloc, beta, direction, cfg.p_total)
             cand_report = evaluate_dual(cand, cfg, alphas)
             if cand_report.d_sc < trace[-1]:
-                accepted = (cand, cand_report)
                 break
             beta *= 0.5
-        if accepted is None:
-            break
-        alloc, report = accepted
+        else:
+            break  # no step size down to the floor descends
+        alloc, report = cand, cand_report
         trace.append(report.d_sc)
         if trace[-2] - trace[-1] <= tol:
             break
+        direction = cfg.p_total * capacity_gradient(alloc, alphas)
     else:
         converged = False
 

@@ -74,39 +74,41 @@ def split_slope(p_s: float, cfg: SystemConfig, alphas) -> float:
 def optimize_separated(cfg: SystemConfig, alphas) -> SeparatedSolution:
     """Optimal sensing/communication power split, from the root of split_slope.
 
-    The slope is negative at p_s = 0 and positive at p_s = p_total on a live
-    link; bisection on its sign keeps a bracket with a negative slope at the
-    left end and a nonnegative one at the right end until the two ends are
-    adjacent floats (about 55 evaluations), so the result is a local minimum.
-    Of the two ends, the one with the smaller |slope| is returned, with one
-    water-filling at its p_c giving both comm_alloc and the report's rate.
-    On a dead link (all gains zero) d_sc does not depend on the split, and
-    p_s = 0 is returned with slope 0.
+    The search runs on the unit split u = p_s/p_total.  The slope is
+    negative at u = 0 and positive at u = 1 on a live link; bisection on its
+    sign keeps a bracket with a negative slope at the left end and a
+    nonnegative one at the right end until the two ends are adjacent floats
+    (about 55 evaluations), so the result is a local minimum.  Of the two
+    ends, the one with the smaller |slope| is returned, as p_s = u*p_total,
+    with one water-filling at its p_c giving both comm_alloc and the
+    report's rate.  On a dead link (all gains zero) d_sc does not depend on
+    the split, and p_s = 0 is returned with slope 0.
     """
-    if not check_vector(alphas, "alphas").any():
-        p_s, slope, evals = 0.0, 0.0, 0
+    if not check_vector(alphas, "alphas", cfg.n_tx).any():
+        u, slope, evals = 0.0, 0.0, 0
     else:
-        lo, hi = 0.0, cfg.p_total
-        s_lo = split_slope(lo, cfg, alphas)
-        s_hi = split_slope(hi, cfg, alphas)
+        lo, hi = 0.0, 1.0
+        s_lo = split_slope(0.0, cfg, alphas)
+        s_hi = split_slope(cfg.p_total, cfg, alphas)
         evals = 2
         if s_lo >= 0:
-            p_s, slope = lo, s_lo
+            u, slope = lo, s_lo
         elif s_hi <= 0:
-            p_s, slope = hi, s_hi
+            u, slope = hi, s_hi
         else:
             while True:
                 mid = 0.5 * (lo + hi)
                 if not lo < mid < hi:
                     break
-                s = split_slope(mid, cfg, alphas)
+                s = split_slope(mid * cfg.p_total, cfg, alphas)
                 evals += 1
                 if s < 0:
                     lo, s_lo = mid, s
                 else:
                     hi, s_hi = mid, s
-            p_s, slope = (lo, s_lo) if -s_lo <= s_hi else (hi, s_hi)
+            u, slope = (lo, s_lo) if -s_lo <= s_hi else (hi, s_hi)
 
+    p_s = u * cfg.p_total
     report, wf = compose_split(p_s, cfg, alphas)
     return SeparatedSolution(
         p_s=p_s,

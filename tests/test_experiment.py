@@ -12,11 +12,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cas import (alphas_from_channel, evaluate_split, experiment,
+from cas import (alphas_from_channel, dual, evaluate_split, experiment,
                  generate_rayleigh)
 from cas.cli import (COMMANDS, FLAGS, _attach_values, _build_config,
                      build_parser, main)
-from cas.dual import optimize_dual
 from cas.experiment import (CSV_COLUMNS, TRACE_COLUMNS, ConfigError,
                             collect_sweep, compare_summary,
                             config_from_mapping, parse_config_file,
@@ -459,8 +458,7 @@ def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
                  "--snr-s-db=-5.702254611660248", "--seed", "35",
                  "--snr-c-db=-0.005527540159814492"]) == 0
     # exit 3 names each flagged record (at most 20) with its reason on stderr
-    monkeypatch.setattr(experiment, "optimize_dual_best",
-                        lambda cfg, alphas: optimize_dual(cfg, alphas, max_iters=1))
+    monkeypatch.setattr(dual, "_MAX_ITERS", 1)
     capsys.readouterr()
     assert main(["point", "--seed", "0", "--snr-c-db", "10"]) == 3
     assert capsys.readouterr().err.splitlines() == [
