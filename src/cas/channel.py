@@ -27,14 +27,16 @@ def generate_rayleigh(seed: int, m_c: int, n_tx: int) -> np.ndarray:
     """Gram eigenvalues of an i.i.d. unit-variance complex Gaussian m_c x n_tx channel.
 
     Returns the n_tx eigenvalues of h^H h in descending order, read-only.
-    Past the first min(m_c, n_tx) they are zero only up to round-off (about
-    1e-15 at seed 0), and they are kept as computed, not zeroed.
+    h^H h has rank min(m_c, n_tx), so the eigenvalues past it are set to
+    exactly 0.0 rather than kept at their round-off (about 1e-15 at seed 0),
+    which would make them live gains that depend on the LAPACK build.
     """
     if m_c < 1 or n_tx < 1:
         raise ValueError("channel dimensions must be positive")
     h = _complex_normal(_rng(_STREAM_CHANNEL, seed), (int(m_c), int(n_tx)))
-    w = np.linalg.eigh(h.conj().T @ h)[0]
-    return read_only(np.maximum(w[::-1], 0.0))
+    w = np.maximum(np.linalg.eigh(h.conj().T @ h)[0][::-1], 0.0)
+    w[min(int(m_c), int(n_tx)):] = 0.0
+    return read_only(w)
 
 
 def alphas_from_channel(gram_eigs, cfg: SystemConfig) -> np.ndarray:

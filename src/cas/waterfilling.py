@@ -107,18 +107,21 @@ def waterfill_capacity(p_c: float, alphas) -> WaterfillResult:
         WaterfillResult with lam_i = max(level - 1/alpha_i, 0), the sum of
         active powers matching p_c to relative 1e-8 or tighter.
 
-    The level and the powers are ``_fill`` on the floors 1/alpha of the
-    positive gains with budget p_c.
+    The level and the powers are ``_fill`` on the floors 1/alpha that are
+    finite, with budget p_c; a gain whose floor is not finite (zero, or so
+    small that 1/alpha overflows) gets no power.
     """
     if p_c < 0 or not math.isfinite(p_c):
         raise ValueError("power budget must be nonnegative and finite")
     a = check_vector(alphas, "alphas")
     n = a.size
-    pos = a > 0
+    with np.errstate(divide="ignore", over="ignore"):
+        floors = 1.0 / a
+    pos = np.isfinite(floors)
     if not pos.any():
         zero = PowerAllocation(np.zeros(n))
         return WaterfillResult(zero, 0.0, 0.0, 0.0)
-    inv = 1.0 / a[pos]
+    inv = floors[pos]
     if p_c == 0:
         # nothing to place: the lowest floor is the level, and the KKT
         # conditions hold exactly rather than up to the rounding of 1/level

@@ -38,17 +38,31 @@ def test_generate_rayleigh_eigenstructure():
     assert not eigs.flags.writeable
     assert np.all(eigs >= 0)
     assert np.all(np.diff(eigs) <= 0)
-    # rank is at most m_c
-    assert np.all(eigs[5:] <= 1e-10 * eigs[0])
+    # rank is m_c: the rest is exactly zero
+    assert np.all(eigs[5:] == 0.0)
     h = channel_matrix(1, 5, 10)
     gram = h.conj().T @ h
     w, v = np.linalg.eigh(gram)
-    # the reference draw is the package's draw, to the last bit
-    assert np.array_equal(eigs, np.maximum(w[::-1], 0.0))
+    # the reference draw is the package's draw up to the rank, to the last bit
+    assert np.array_equal(eigs[:5], w[::-1][:5])
     v = v[:, ::-1]
     assert np.abs(v.conj().T @ v - np.eye(10)).max() < 1e-10
     rebuilt = (v * eigs) @ v.conj().T
     assert np.abs(gram - rebuilt).max() < 1e-10 * eigs[0]
+
+
+def test_generate_rayleigh_zero_past_rank():
+    for m_c, n_tx in ((1, 4), (3, 8), (5, 10), (4, 4), (10, 10), (12, 6)):
+        for seed in range(3):
+            eigs = generate_rayleigh(seed, m_c, n_tx)
+            rank = min(m_c, n_tx)
+            assert np.all(eigs[:rank] > 0) and np.all(eigs[rank:] == 0.0)
+            h = channel_matrix(seed, m_c, n_tx)
+            w = np.maximum(np.linalg.eigh(h.conj().T @ h)[0][::-1], 0.0)
+            assert np.array_equal(eigs[:rank], w[:rank])
+            if m_c >= n_tx:
+                # full rank: nothing is zeroed
+                assert np.array_equal(eigs, w)
 
 
 def test_alphas_from_channel_examples():

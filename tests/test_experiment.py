@@ -481,6 +481,17 @@ def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
         "flagged records: 1"]
 
 
+def test_extreme_budget_command_lines(capsys):
+    # the dual search once overflowed from p_total 1e160 on, and the
+    # separated one met round-off gains past the channel's rank that
+    # p_total 1e300 made subnormal
+    for argv in (["--scheme", "dual", "--p-total", "1e180", "--seed", "0"],
+                 ["--scheme", "separated", "--p-total", "1e300", "--seed", "0"],
+                 ["--scheme", "separated", "--p-total", "1e300", "--seed", "3"]):
+        assert main(["point", "--snr-c-db", "10"] + argv) == 0, argv
+    capsys.readouterr()
+
+
 def test_cli_module_entry(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "cas", "point", "--seeds", "0",
@@ -521,14 +532,14 @@ def test_parallel_jobs_match_serial(tmp_path):
 # explained in CHANGES.md.  Together they cover the serializer, the sweep
 # and curve records, the single warm start and the trace rows.
 DEFAULT_SWEEP_SHA256 = (
-    "8c46757ca4d7bf45779e5d7336f26f8980e655f6023d63f7881c0a966fec0054")
+    "8c1272f82943adcb131bf14c8dc3f57b8fdb72731932c6ba2681c935eb5f56f4")
 OUTPUT_SHA256 = {
     "sweep --format json":
-        "8be5fadd744e3b43f5595312fc3c1ba5700ee4bce24546aa820216b05541f74e",
+        "03de9cc3895b44d82c7318785f845b1b9d703857ff87b7a440d2e140a172a051",
     "sweep --scheme separated --curve-points 101 --seeds 0,1,2":
         "186bdb719bd236978afc06fe7a9d7ed19a697aca9e1c9ff640d4041899586a22",
     "sweep --dual-init sensing --seeds 0,1,2,3 --snr-s-db 60":
-        "93fe0f577dd9999128923fbb33f0ae4d637161d9b1afba6cf18867399620e373",
+        "c90561b9183b0c119878a5f7f92ad0a68b15e699c9a8cce4eea7a605a3798bfc",
     "trace --seed 0 --snr-c-db-list=-5,0,10,20":
         "dc1ebc77d0adbb0b53a33e5099cb240f6d0417f15dad4896a9a0de0b06850e40",
 }

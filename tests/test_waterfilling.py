@@ -91,6 +91,17 @@ def test_waterfill_dead_channel_degenerate():
     assert res.alloc.total == 0.0
 
 
+def test_waterfill_skips_gains_with_infinite_floor():
+    # 1/5e-324 overflows: no finite budget reaches that floor, so the gain
+    # is inactive and the call neither warns nor raises
+    res = waterfill_capacity(1.0, [1.0, 5e-324])
+    assert res.capacity == math.log(2.0)
+    assert np.array_equal(res.alloc.lambdas, [1.0, 0.0])
+    assert res.level == 2.0 and res.kkt_residual == 0.0
+    dead = waterfill_capacity(1.0, [5e-324, 0.0])
+    assert dead.capacity == 0.0 and dead.alloc.total == 0.0
+
+
 def test_waterfill_input_validation():
     with pytest.raises(ValueError):
         waterfill_capacity(-1.0, np.array([1.0]))
