@@ -125,9 +125,8 @@ def _coerce(key, value):
         kind = type(default[0] if isinstance(default, tuple) else default)
         convert = _integer if kind is int else kind
         if isinstance(default, tuple):
-            if isinstance(value, str):
-                value = value.split(",")
-            return tuple(convert(v) for v in value)
+            items = value.split(",") if isinstance(value, str) else value
+            return tuple(convert(v) for v in items)
         return convert(value)
     except (TypeError, ValueError, ArithmeticError) as exc:
         raise ConfigError(f"invalid value for {key}: {value!r}") from exc

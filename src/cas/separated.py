@@ -53,7 +53,7 @@ def evaluate_split(p_s: float, cfg: SystemConfig, alphas) -> DistortionReport:
     if not (-slack <= p_s <= cfg.p_total + slack):
         raise ValueError(f"p_s must lie in [0, p_total], got {p_s!r}")
     p_s = min(max(float(p_s), 0.0), cfg.p_total)
-    return compose_split(p_s, cfg, alphas)[0]
+    return compose_split(p_s, cfg, check_vector(alphas, "alphas", cfg.n_tx))[0]
 
 
 def split_slope(p_s: float, cfg: SystemConfig, alphas) -> float:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cas import (PowerAllocation, alphas_from_channel, evaluate_dual,
-                 generate_rayleigh, optimize_dual_best)
+                 generate_rayleigh, optimize_dual_best, optimize_separated)
 from cas import dual
 from cas.dual import (INIT_COMMUNICATION, INIT_SENSING, capacity_gradient,
                       gradient_step, optimize_dual)
@@ -161,3 +161,30 @@ def test_search_does_not_depend_on_power_scale():
     ref, small = solve(1.0), solve(1e-8)
     assert ref.iterations > 0 and small.iterations > 0
     assert small.report.d_sc == pytest.approx(ref.report.d_sc, rel=1e-9)
+
+
+@pytest.mark.parametrize("p_total", [1e-300, 1e-8, 1e8, 1e300])
+def test_both_searches_are_scale_free(p_total):
+    # at fixed SNRs the budget is only a unit: every distortion, rate and
+    # count equals the p_total 1 record, and every power scales with p_total
+    def solve(p, seed, snr_c_db):
+        cfg = system_for(ExperimentConfig(p_total=p), snr_c_db)
+        alphas = channel_alphas(seed, cfg)
+        return optimize_separated(cfg, alphas), optimize_dual_best(cfg, alphas)
+
+    for seed in range(5):
+        for snr_c_db in (0.0, 10.0, 20.0):
+            ref_sep, ref_dual = solve(1.0, seed, snr_c_db)
+            sep, dual_sol = solve(p_total, seed, snr_c_db)
+            for ref, got in ((ref_sep, sep), (ref_dual, dual_sol)):
+                for key in ("d_s", "d_c", "d_sc", "capacity"):
+                    assert (getattr(got.report, key)
+                            == pytest.approx(getattr(ref.report, key), rel=1e-12))
+            assert sep.evaluations == ref_sep.evaluations
+            assert dual_sol.iterations == ref_dual.iterations
+            assert sep.p_s == pytest.approx(p_total * ref_sep.p_s, rel=1e-12)
+            for ref, got in ((ref_sep.sensing_alloc, sep.sensing_alloc),
+                             (ref_sep.comm_alloc, sep.comm_alloc),
+                             (ref_dual.alloc, dual_sol.alloc)):
+                np.testing.assert_allclose(got.lambdas, p_total * ref.lambdas,
+                                           rtol=1e-12, atol=0.0)

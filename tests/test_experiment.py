@@ -439,6 +439,12 @@ def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
                  ["sweep", "--snr-s-db=-4000"]):
         assert main(argv + ["--output", str(tmp_path / "y.csv")]) == 2, argv
         assert "must lie in [-1000, 1000] dB" in capsys.readouterr().err
+    # a bad value is reported as given, not as the list it was split into
+    for value in ("abc", "1,x"):
+        assert main(["point", "--seed", value, "--output", str(tmp_path / "y.csv")]) == 2
+        assert capsys.readouterr().err == (
+            f"configuration error: invalid value for seeds: {value!r}\n")
+        assert not (tmp_path / "y.csv").exists()
     # a value starting with '-' is taken as the value, not as a flag
     assert main(["sweep", "--seeds", "0", "--snr-c-db-list", "-5,0",
                  "--scheme", "separated", "--output", str(tmp_path / "z.csv")]) == 0

@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from cas import (alphas_from_channel, evaluate_split, generate_rayleigh,
-                 optimize_separated)
+from cas import (alphas_from_channel, evaluate_dual, evaluate_split,
+                 generate_rayleigh, optimize_dual_best, optimize_separated)
+from cas.dual import INIT_COMMUNICATION, INIT_SENSING, optimize_dual
 from cas.model import sensing_subchannel_distortion
-from cas.waterfilling import waterfill_capacity
+from cas.waterfilling import uniform_allocation, waterfill_capacity
 from cas.separated import split_slope
 from conftest import reference_system
 
@@ -96,6 +97,21 @@ def test_optimizer_validation(cfg10):
     for bad in (-np.ones(cfg10.n_tx), np.full(cfg10.n_tx, np.inf), np.ones((2, 5))):
         with pytest.raises(ValueError):
             optimize_separated(cfg10, bad)
+
+
+def test_gain_length_checked_by_every_scorer_and_optimizer(cfg10):
+    # the separated entries once solved a 3- or 20-gain link for a 10-antenna
+    # system without complaint; the dual ones always refused
+    alphas = channel_alphas(0, cfg10)
+    for bad in (alphas[:3], np.concatenate([alphas, alphas])):
+        for solve in (lambda: evaluate_split(0.5, cfg10, bad),
+                      lambda: optimize_separated(cfg10, bad),
+                      lambda: evaluate_dual(uniform_allocation(1.0, 10), cfg10, bad),
+                      lambda: optimize_dual(cfg10, bad, init_kind=INIT_SENSING),
+                      lambda: optimize_dual(cfg10, bad, init_kind=INIT_COMMUNICATION),
+                      lambda: optimize_dual_best(cfg10, bad)):
+            with pytest.raises(ValueError):
+                solve()
 
 
 def test_split_slope_matches_finite_difference(cfg10):
