@@ -70,7 +70,7 @@ def gradient_step(alloc: PowerAllocation, beta: float, direction,
     moved = alloc.lambdas + p_total * (beta * direction)
     s = float(moved.sum())
     if s <= 0:
-        raise ValueError("degenerate step: zero allocation and zero gradient")
+        raise ValueError("degenerate step: zero allocation and zero direction")
     return PowerAllocation(moved * (float(p_total) / s))
 
 

@@ -88,8 +88,8 @@ def optimize_separated(cfg: SystemConfig, alphas) -> SeparatedSolution:
         u, slope, evals = 0.0, 0.0, 0
     else:
         lo, hi = 0.0, 1.0
-        s_lo = split_slope(0.0, cfg, alphas)
-        s_hi = split_slope(cfg.p_total, cfg, alphas)
+        s_lo = split_slope(lo * cfg.p_total, cfg, alphas)
+        s_hi = split_slope(hi * cfg.p_total, cfg, alphas)
         evals = 2
         if s_lo >= 0:
             u, slope = lo, s_lo
