@@ -4,11 +4,9 @@ A single waveform serves sensing and forwarding simultaneously, so the full
 budget rides on one eigenvalue profile evaluated against both stages.  The
 profile is improved by stepping along the capacity gradient and rescaling
 back onto the power simplex, with a halving line search that only accepts
-strict descent of the end-to-end distortion.  The search works in units of
-the budget: its direction is the rate gradient of the unit profile
-lam/p_total and its step sizes are pure numbers, so no p_total can overflow
-or stall it.  Both natural warm starts are available: the sensing-optimal
-uniform profile and the capacity-optimal water-filling profile.
+strict descent of the end-to-end distortion.  Both natural warm starts are
+available: the sensing-optimal uniform profile and the capacity-optimal
+water-filling profile.
 """
 
 from dataclasses import dataclass
@@ -16,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (DistortionReport, PowerAllocation, SystemConfig,
-                    capacity_eigform, check_vector, read_only)
+                    capacity_eigform, check_vector, live_gains, read_only)
 from .waterfilling import evaluate, uniform_allocation, waterfill_capacity
 
 INIT_SENSING = "sensing_optimal"
@@ -62,25 +60,24 @@ def capacity_gradient(alloc: PowerAllocation, alphas) -> np.ndarray:
     return a / (a * alloc.lambdas + 1.0)
 
 
-def gradient_step(alloc: PowerAllocation, beta: float, direction,
-                  p_total: float) -> PowerAllocation:
-    """Move ``beta`` along a unit-profile ``direction``, then rescale onto the power simplex."""
+def gradient_step(alloc: PowerAllocation, beta: float, direction) -> PowerAllocation:
+    """Move ``beta`` along ``direction``, then rescale onto the unit-budget simplex."""
     if beta < 0:
         raise ValueError("step size must be nonnegative")
-    moved = alloc.lambdas + p_total * (beta * direction)
+    moved = alloc.lambdas + beta * direction
     s = float(moved.sum())
     if s <= 0:
         raise ValueError("degenerate step: zero allocation and zero direction")
-    return PowerAllocation(moved * (float(p_total) / s))
+    return PowerAllocation(moved * (1.0 / s))
 
 
 def optimize_dual(cfg: SystemConfig, alphas,
                   init_kind: str = INIT_SENSING) -> DualSolution:
     """Descent on the dual-functional profile from one warm start.
 
-    The direction is p_total times the rate gradient, taken at the warm
-    start and after each accepted step, and the base step is 1 over its
-    l1-norm, so the first trial step moves a budget-sized amount.  Stops
+    The direction is the rate gradient, taken at the warm start and after
+    each accepted step, and the base step is 1 over its l1-norm, so the
+    first trial step moves a budget-sized amount.  Stops
     when an accepted step improves the objective by at most 1e-8 of the
     zero-power distortion ceiling m_s*n_tx*var_eta, when no halved step
     size down to _BETA_MIN improves it at all, or after _MAX_ITERS steps.
@@ -94,10 +91,10 @@ def optimize_dual(cfg: SystemConfig, alphas,
 
     report = evaluate_dual(alloc, cfg, alphas)
     trace = [report.d_sc]
-    direction = cfg.p_total * capacity_gradient(alloc, alphas)
-    if not direction.any():
+    if not live_gains(alphas).any():
         # dead link: the rate is identically zero, nothing to trade
         return DualSolution(alloc, report, 0, np.asarray(trace), init_kind, True)
+    direction = capacity_gradient(alloc, alphas)
     beta0 = 1.0 / float(np.abs(direction).sum())
     tol = 1e-8 * cfg.var_eta * cfg.m_s * cfg.n_tx
 
@@ -105,7 +102,7 @@ def optimize_dual(cfg: SystemConfig, alphas,
     for _ in range(_MAX_ITERS):
         beta = beta0
         while beta >= _BETA_MIN:
-            cand = gradient_step(alloc, beta, direction, cfg.p_total)
+            cand = gradient_step(alloc, beta, direction)
             cand_report = evaluate_dual(cand, cfg, alphas)
             if cand_report.d_sc < trace[-1]:
                 break
@@ -116,7 +113,7 @@ def optimize_dual(cfg: SystemConfig, alphas,
         trace.append(report.d_sc)
         if trace[-2] - trace[-1] <= tol:
             break
-        direction = cfg.p_total * capacity_gradient(alloc, alphas)
+        direction = capacity_gradient(alloc, alphas)
     else:
         converged = False
 

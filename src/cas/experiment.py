@@ -13,6 +13,7 @@ seed when the configuration is built, for batch farming.
 import csv
 import io
 import json
+import math
 import os
 from dataclasses import dataclass, fields
 
@@ -21,7 +22,7 @@ import numpy as np
 from .channel import alphas_from_channel, generate_rayleigh
 from .dual import (INIT_COMMUNICATION, INIT_SENSING, optimize_dual,
                    optimize_dual_best)
-from .model import SystemConfig, noise_var_from_snr
+from .model import SystemConfig, live_gains, noise_var_from_snr
 from .separated import compose_split, optimize_separated
 
 SCHEMES = ("separated", "dual", "both")
@@ -74,6 +75,8 @@ class ExperimentConfig:
             raise ConfigError("seeds must be nonempty")
         if min(self.seeds) < 0:
             raise ConfigError(f"seeds must be nonnegative, got {min(self.seeds)}")
+        if not (math.isfinite(self.p_total) and self.p_total > 0):
+            raise ConfigError(f"p_total must be a positive finite number, got {self.p_total!r}")
         if self.jobs < 1:
             raise ConfigError("jobs must be at least 1")
         if self.curve_points < 0:
@@ -86,8 +89,9 @@ class SweepRecord:
 
     A record is flagged for a dead link or a search stopped by its cap.
 
-    alloc_summary is the solver's read-only eigenvalue array, kept as is
-    rather than copied into Python floats, so a sweep's records stay small.
+    p_s and alloc_summary are the solver's powers times the configured p_total.
+    alloc_summary is an eigenvalue array rather than a list of Python
+    floats, so a sweep's records stay small.
     Records compare by identity: an array field has no single truth value.
     """
 
@@ -190,7 +194,7 @@ def system_for(cfg: ExperimentConfig, snr_c_db: float) -> SystemConfig:
     return SystemConfig(
         n_tx=cfg.n_tx, m_s=cfg.m_s, m_c=cfg.m_c, n_symbols=cfg.n_symbols,
         var_eta=cfg.var_eta, var_s=noise_var_from_snr(cfg.snr_s_db, cfg),
-        var_c=noise_var_from_snr(snr_c_db, cfg), p_total=cfg.p_total)
+        var_c=noise_var_from_snr(snr_c_db, cfg))
 
 
 def _point_gains(cfg: ExperimentConfig, seed: int, snr_c_db: float):
@@ -204,7 +208,7 @@ def run_point(cfg: ExperimentConfig, seed: int, snr_c_db: float) -> list:
     """Solve the configured schemes for one (seed, snr) point."""
     try:
         sys_cfg, alphas = _point_gains(cfg, seed, snr_c_db)
-        dead_link = not alphas.any()
+        dead_link = not live_gains(alphas).any()
 
         def record(scheme, p_s, report, iterations, converged, lambdas):
             if dead_link:
@@ -213,10 +217,10 @@ def run_point(cfg: ExperimentConfig, seed: int, snr_c_db: float) -> list:
                 flagged = "" if converged else "dual search stopped at the iteration cap"
             return SweepRecord(
                 scheme=scheme, seed=int(seed), snr_c_db=float(snr_c_db),
-                p_s=p_s, d_s=report.d_s, d_c=report.d_c, d_sc=report.d_sc,
-                capacity=report.capacity, iterations=iterations,
-                converged=converged, alloc_summary=lambdas,
-                flagged=flagged)
+                p_s=cfg.p_total * p_s, d_s=report.d_s, d_c=report.d_c,
+                d_sc=report.d_sc, capacity=report.capacity,
+                iterations=iterations, converged=converged,
+                alloc_summary=cfg.p_total * lambdas, flagged=flagged)
 
         records = []
         if cfg.scheme in ("separated", "both"):

@@ -10,6 +10,7 @@ the shared configuration/result types and those scalar formulas.
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -43,7 +44,8 @@ class SystemConfig:
     var_eta:   prior variance of each target-response coefficient
     var_s:     sensing noise variance per receive antenna and symbol
     var_c:     communication noise variance per receive antenna and symbol
-    p_total:   transmit power budget per symbol
+    p_total:   the per-symbol power budget and the unit of power, fixed at
+               1.0: var_s, var_c and every power are per unit of it
     """
 
     n_tx: int
@@ -53,7 +55,7 @@ class SystemConfig:
     var_eta: float
     var_s: float
     var_c: float
-    p_total: float
+    p_total: ClassVar[float] = 1.0
 
     def __post_init__(self):
         for name in ("n_tx", "m_s", "m_c", "n_symbols"):
@@ -64,8 +66,7 @@ class SystemConfig:
         # actual length-T waveform (orthonormal rows exist only if T >= N).
         if self.n_symbols < self.n_tx:
             raise ValueError("n_symbols must be at least n_tx")
-        # p_total before the noise variances, which are derived from it
-        for name in ("var_eta", "p_total", "var_s", "var_c"):
+        for name in ("var_eta", "var_s", "var_c"):
             v = getattr(self, name)
             if not (isinstance(v, (int, float, np.floating)) and math.isfinite(v) and v > 0):
                 raise ValueError(f"{name} must be a positive finite number, got {v!r}")
@@ -73,7 +74,7 @@ class SystemConfig:
 
 @dataclass(frozen=True)
 class PowerAllocation:
-    """Nonnegative eigenvalues of a transmit sample covariance (per-symbol watts)."""
+    """Nonnegative eigenvalues of a transmit sample covariance (per-symbol, in budgets)."""
 
     lambdas: np.ndarray
 
@@ -121,13 +122,18 @@ class DistortionReport:
 
 
 def noise_var_from_snr(snr_db: float, cfg) -> float:
-    """Noise variance realizing a per-block SNR of ``snr_db`` decibels.
+    """Noise variance per unit budget at a per-block SNR of ``snr_db`` decibels.
 
-    The block SNR convention is T * p_total / variance, so
-    variance = T * p_total / 10**(snr_db / 10).  ``cfg`` needs only
-    n_symbols and p_total: a SystemConfig or an ExperimentConfig.
+    The block SNR is T * p_total / variance, so variance = T / 10**(snr_db/10)
+    with the budget as unit; ``cfg`` is a SystemConfig or an ExperimentConfig.
     """
-    return cfg.n_symbols * cfg.p_total / 10.0 ** (snr_db / 10.0)
+    return cfg.n_symbols / 10.0 ** (snr_db / 10.0)
+
+
+def live_gains(alphas) -> np.ndarray:
+    """Mask of the gains with a finite water-filling floor 1/alpha; a link with none is dead."""
+    with np.errstate(divide="ignore", over="ignore"):
+        return np.isfinite(1.0 / np.asarray(alphas, dtype=float))
 
 
 def sensing_subchannel_distortion(lambda_s, cfg: SystemConfig):

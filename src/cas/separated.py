@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 from .model import (DistortionReport, PowerAllocation, SystemConfig,
-                    check_vector, sensing_subchannel_distortion)
+                    check_vector, live_gains, sensing_subchannel_distortion)
 from .waterfilling import (WaterfillResult, evaluate, uniform_allocation,
                            waterfill_capacity)
 
@@ -49,8 +49,7 @@ def compose_split(p_s: float, cfg: SystemConfig,
 
 def evaluate_split(p_s: float, cfg: SystemConfig, alphas) -> DistortionReport:
     """End-to-end distortion of spending ``p_s`` on sensing and the rest on forwarding."""
-    slack = 1e-12 * cfg.p_total
-    if not (-slack <= p_s <= cfg.p_total + slack):
+    if not (-1e-12 <= p_s <= cfg.p_total + 1e-12):
         raise ValueError(f"p_s must lie in [0, p_total], got {p_s!r}")
     p_s = min(max(float(p_s), 0.0), cfg.p_total)
     return compose_split(p_s, cfg, check_vector(alphas, "alphas", cfg.n_tx))[0]
@@ -74,41 +73,39 @@ def split_slope(p_s: float, cfg: SystemConfig, alphas) -> float:
 def optimize_separated(cfg: SystemConfig, alphas) -> SeparatedSolution:
     """Optimal sensing/communication power split, from the root of split_slope.
 
-    The search runs on the unit split u = p_s/p_total.  The slope is
-    negative at u = 0 and positive at u = 1 on a live link; bisection on its
-    sign keeps a bracket with a negative slope at the left end and a
-    nonnegative one at the right end until the two ends are adjacent floats
-    (about 55 evaluations), so the result is a local minimum.  Of the two
-    ends, the one with the smaller |slope| is returned, as p_s = u*p_total,
+    The slope is negative at p_s = 0 and positive at p_s = p_total on a live
+    link; bisection on its sign keeps a bracket with a negative slope at the
+    left end and a nonnegative one at the right end until the two ends are
+    adjacent floats (about 55 evaluations), so the result is a local
+    minimum.  Of the two ends, the one with the smaller |slope| is returned,
     with one water-filling at its p_c giving both comm_alloc and the
-    report's rate.  On a dead link (all gains zero) d_sc does not depend on
+    report's rate.  On a dead link (no live gain) d_sc does not depend on
     the split, and p_s = 0 is returned with slope 0.
     """
-    if not check_vector(alphas, "alphas", cfg.n_tx).any():
-        u, slope, evals = 0.0, 0.0, 0
+    if not live_gains(check_vector(alphas, "alphas", cfg.n_tx)).any():
+        p_s, slope, evals = 0.0, 0.0, 0
     else:
-        lo, hi = 0.0, 1.0
-        s_lo = split_slope(lo * cfg.p_total, cfg, alphas)
-        s_hi = split_slope(hi * cfg.p_total, cfg, alphas)
+        lo, hi = 0.0, cfg.p_total
+        s_lo = split_slope(lo, cfg, alphas)
+        s_hi = split_slope(hi, cfg, alphas)
         evals = 2
         if s_lo >= 0:
-            u, slope = lo, s_lo
+            p_s, slope = lo, s_lo
         elif s_hi <= 0:
-            u, slope = hi, s_hi
+            p_s, slope = hi, s_hi
         else:
             while True:
                 mid = 0.5 * (lo + hi)
                 if not lo < mid < hi:
                     break
-                s = split_slope(mid * cfg.p_total, cfg, alphas)
+                s = split_slope(mid, cfg, alphas)
                 evals += 1
                 if s < 0:
                     lo, s_lo = mid, s
                 else:
                     hi, s_hi = mid, s
-            u, slope = (lo, s_lo) if -s_lo <= s_hi else (hi, s_hi)
+            p_s, slope = (lo, s_lo) if -s_lo <= s_hi else (hi, s_hi)
 
-    p_s = u * cfg.p_total
     report, wf = compose_split(p_s, cfg, alphas)
     return SeparatedSolution(
         p_s=p_s,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (DistortionReport, PowerAllocation, SystemConfig,
-                    assemble_report, check_vector, read_only,
+                    assemble_report, check_vector, live_gains, read_only,
                     sensing_distortion, source_eigenvalue)
 
 
@@ -25,7 +25,7 @@ class WaterfillResult:
     level is the water level xi_c: active channels receive level - 1/alpha_i.
     kkt_residual is the worst relative violation among the power budget,
     stationarity on active channels and dual feasibility on inactive ones.
-    With all gains zero any allocation is optimal, and zeros are returned.
+    With no live gain any allocation is optimal, and zeros are returned.
     """
 
     alloc: PowerAllocation
@@ -107,26 +107,20 @@ def waterfill_capacity(p_c: float, alphas) -> WaterfillResult:
         WaterfillResult with lam_i = max(level - 1/alpha_i, 0), the sum of
         active powers matching p_c to relative 1e-8 or tighter.
 
-    The level and the powers are ``_fill`` on the floors 1/alpha that are
-    finite, with budget p_c; a gain whose floor is not finite (zero, or so
-    small that 1/alpha overflows) gets no power.
+    The level and the powers are ``_fill`` on the floors 1/alpha of the
+    live gains (``live_gains``), with budget p_c; a dead gain gets no power.
     """
     if p_c < 0 or not math.isfinite(p_c):
         raise ValueError("power budget must be nonnegative and finite")
     a = check_vector(alphas, "alphas")
     n = a.size
-    with np.errstate(divide="ignore", over="ignore"):
-        floors = 1.0 / a
-    pos = np.isfinite(floors)
-    if not pos.any():
-        zero = PowerAllocation(np.zeros(n))
-        return WaterfillResult(zero, 0.0, 0.0, 0.0)
-    inv = floors[pos]
-    if p_c == 0:
-        # nothing to place: the lowest floor is the level, and the KKT
-        # conditions hold exactly rather than up to the rounding of 1/level
-        zero = PowerAllocation(np.zeros(n))
-        return WaterfillResult(zero, float(inv.min()), 0.0, 0.0)
+    pos = live_gains(a)
+    inv = 1.0 / a[pos]
+    if p_c == 0 or not inv.size:
+        # nothing to place, or nowhere: the lowest floor (0.0 on a dead link)
+        # is the level, and KKT holds exactly, not up to rounding of 1/level
+        level = float(inv.min()) if inv.size else 0.0
+        return WaterfillResult(PowerAllocation(np.zeros(n)), level, 0.0, 0.0)
     level, filled = _fill(inv, p_c)
     lam = np.zeros(n)
     lam[pos] = filled

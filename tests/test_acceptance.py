@@ -15,7 +15,8 @@ import pytest
 
 from cas import (DualSolution, PowerAllocation, SeparatedSolution,
                  SystemConfig, alphas_from_channel, evaluate_dual,
-                 evaluate_split, generate_rayleigh, optimize_separated)
+                 evaluate_split, generate_rayleigh, optimize_dual_best,
+                 optimize_separated)
 from cas.dual import INIT_COMMUNICATION, INIT_SENSING, optimize_dual
 from cas.experiment import collect_sweep, config_from_mapping
 from cas.model import sensing_distortion
@@ -82,7 +83,7 @@ def test_criterion_01_closed_form_matches_matrix_oracle():
                            n_symbols=50,
                            var_eta=10.0 ** rng.uniform(-2, 0.5),
                            var_s=10.0 ** rng.uniform(-1, 1),
-                           var_c=1.0, p_total=1.0)
+                           var_c=1.0)
         alloc = PowerAllocation(rng.uniform(0.0, 1.0, n))
         x = exact_waveform(alloc, cfg.n_symbols,
                            basis=random_unitary(n, 1000 + trial))
@@ -248,6 +249,33 @@ def test_gain_with_one_sensing_antenna_and_wide_link():
                                  / d_sc["separated", s, snr] for s in cfg.seeds]))
              for snr in cfg.snr_c_db_list}
     assert all(0.10 <= g <= 0.45 for g in gains.values()), gains
+
+
+def test_closed_form_limits_fix_the_normalization():
+    """At the ends of the SNR range both schemes read scheme-free closed forms.
+
+    With no rate, or nothing sensed to forward, d_sc is the ceiling
+    m_s*n_tx*var_eta; with an ideal link it is uniform sensing's
+    m_s*n_tx*f(P/n_tx).  A rescaling of one scheme alone breaks a limit.
+    """
+    def both(cfg, seed):
+        alphas = alphas_from_channel(generate_rayleigh(seed, cfg.m_c, cfg.n_tx), cfg)
+        return (optimize_separated(cfg, alphas).report.d_sc,
+                optimize_dual_best(cfg, alphas).report.d_sc)
+
+    no_link, no_sensing, ideal_link = (reference_system(-300.0),
+                                       reference_system(10.0, snr_s_db=-300.0),
+                                       reference_system(1000.0))
+    ceiling = no_link.m_s * no_link.n_tx * no_link.var_eta
+    uniform = sensing_distortion(uniform_allocation(ideal_link.p_total, ideal_link.n_tx),
+                                 ideal_link)
+    for seed in range(3):
+        for d_sc in both(no_link, seed):
+            # the dual search reads one ulp under the ceiling
+            assert d_sc == pytest.approx(ceiling, rel=1e-15) and d_sc <= ceiling
+        assert both(no_sensing, seed) == (ceiling, ceiling)
+        for d_sc in both(ideal_link, seed):
+            assert d_sc == pytest.approx(uniform, rel=1e-8)
 
 
 def test_criterion_09_dead_link_identity():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cas import (PowerAllocation, SystemConfig, alphas_from_channel,
-                 generate_rayleigh)
+                 generate_rayleigh, optimize_dual_best, optimize_separated)
 from cas.model import capacity_eigform, sensing_distortion
 from cas.waterfilling import uniform_allocation, waterfill_capacity
 from conftest import reference_system
@@ -65,13 +65,36 @@ def test_generate_rayleigh_zero_past_rank():
                 assert np.array_equal(eigs, w)
 
 
+def test_solutions_are_well_conditioned_in_the_channel():
+    # a LAPACK build may move a live Gram eigenvalue by a few ulps; both
+    # schemes' d_sc must then move by round-off, not by a changed search path
+    rng = np.random.default_rng(6)
+    worst = 0.0
+    for seed in range(10):
+        for snr_c_db in (0.0, 10.0, 20.0):
+            cfg = reference_system(snr_c_db)
+            eigs = generate_rayleigh(seed, cfg.m_c, cfg.n_tx)
+
+            def both(gram):
+                alphas = alphas_from_channel(gram, cfg)
+                return (optimize_separated(cfg, alphas).report.d_sc,
+                        optimize_dual_best(cfg, alphas).report.d_sc)
+
+            ref = both(eigs)
+            for _ in range(3):
+                ulps = rng.integers(-4, 5, eigs.size)
+                moved = both(eigs * (1.0 + ulps * 2.0 ** -52))
+                worst = max(worst, *(abs(m - r) / r for m, r in zip(moved, ref)))
+    assert worst <= 1e-12, worst
+
+
 def test_alphas_from_channel_examples():
     cfg = reference_system(10.0)
     one = SystemConfig(n_tx=1, m_s=1, m_c=1, n_symbols=100,
-                       var_eta=0.1, var_s=1.0, var_c=10.0, p_total=1.0)
+                       var_eta=0.1, var_s=1.0, var_c=10.0)
     assert np.allclose(alphas_from_channel(np.array([1.0]), one), [10.0])
     two = SystemConfig(n_tx=2, m_s=1, m_c=2, n_symbols=100,
-                       var_eta=0.1, var_s=1.0, var_c=10.0, p_total=1.0)
+                       var_eta=0.1, var_s=1.0, var_c=10.0)
     eigs = np.array([2.0, 1.0])
     assert np.allclose(alphas_from_channel(eigs, two), [20.0, 10.0])
     assert np.all(alphas_from_channel(np.zeros(2), two) == 0.0)
@@ -123,8 +146,7 @@ def test_closed_form_matches_matrix_oracle():
         n = int(rng.integers(1, 7))
         cfg = SystemConfig(n_tx=n, m_s=int(rng.integers(1, 6)), m_c=2,
                            n_symbols=50, var_eta=10.0 ** rng.uniform(-2, 0.5),
-                           var_s=10.0 ** rng.uniform(-1, 1), var_c=1.0,
-                           p_total=1.0)
+                           var_s=10.0 ** rng.uniform(-1, 1), var_c=1.0)
         alloc = PowerAllocation(rng.uniform(0, 1, n))
         x = exact_waveform(alloc, cfg.n_symbols, basis=random_unitary(n, 100 + trial))
         closed = sensing_distortion(alloc, cfg)

@@ -495,6 +495,15 @@ def test_extreme_budget_command_lines(capsys):
                  ["--scheme", "separated", "--p-total", "1e300", "--seed", "0"],
                  ["--scheme", "separated", "--p-total", "1e300", "--seed", "3"]):
         assert main(["point", "--snr-c-db", "10"] + argv) == 0, argv
+    # T*p_total/10**(snr/10) once overflowed or underflowed in the noise
+    # variances, and a gain whose 1/alpha overflowed once met a zero
+    # water level in the separated search
+    for argv in (["--snr-c-db", "-1000", "--p-total", "1e300"],
+                 ["--snr-c-db", "1000", "--p-total", "1e-300"],
+                 ["--snr-c-db", "-1000", "--snr-s-db", "-1000", "--p-total", "1e250"],
+                 ["--n-tx", "1", "--n-symbols", "1", "--m-c", "1",
+                  "--snr-c-db", "-1000", "--p-total", "1.7e208"]):
+        assert main(["point", "--seed", "0"] + argv) == 0, argv
     capsys.readouterr()
 
 

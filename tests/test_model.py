@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cas import DistortionReport, PowerAllocation, SystemConfig
+from cas.experiment import ConfigError, config_from_mapping
 from cas.model import (assemble_report, capacity_eigform, noise_var_from_snr,
                        sensing_distortion, sensing_subchannel_distortion,
                        source_eigenvalue)
@@ -18,16 +19,25 @@ lam_st = st.floats(min_value=0.0, max_value=1e9, allow_nan=False)
 def test_system_config_validation():
     with pytest.raises(ValueError):
         SystemConfig(n_tx=10, m_s=5, m_c=5, n_symbols=5,
-                     var_eta=0.1, var_s=1.0, var_c=1.0, p_total=1.0)
+                     var_eta=0.1, var_s=1.0, var_c=1.0)
     with pytest.raises(ValueError):
         SystemConfig(n_tx=0, m_s=5, m_c=5, n_symbols=100,
-                     var_eta=0.1, var_s=1.0, var_c=1.0, p_total=1.0)
+                     var_eta=0.1, var_s=1.0, var_c=1.0)
     with pytest.raises(ValueError):
         SystemConfig(n_tx=2, m_s=5, m_c=5, n_symbols=100,
-                     var_eta=-0.1, var_s=1.0, var_c=1.0, p_total=1.0)
-    with pytest.raises(ValueError):
+                     var_eta=-0.1, var_s=1.0, var_c=1.0)
+    with pytest.raises(ConfigError, match="p_total must be a positive finite number, got 0.0"):
+        config_from_mapping({"p_total": "0"})
+
+
+def test_budget_is_the_unit_of_power():
+    # the budget is fixed at 1.0 and cannot be set on a system: the sweep
+    # applies the configured p_total to its records only
+    assert SystemConfig.p_total == 1.0
+    assert reference_system().p_total == 1.0
+    with pytest.raises(TypeError):
         SystemConfig(n_tx=2, m_s=5, m_c=5, n_symbols=100,
-                     var_eta=0.1, var_s=1.0, var_c=1.0, p_total=0.0)
+                     var_eta=0.1, var_s=1.0, var_c=1.0, p_total=2.0)
 
 
 def test_power_allocation_validation():
@@ -106,7 +116,7 @@ def test_sensing_distortion_examples(cfg10):
     assert sensing_distortion(uniform_allocation(0.0, 10), cfg10) == pytest.approx(5.0, rel=1e-12)
     assert sensing_distortion(uniform_allocation(1.0, 10), cfg10) == pytest.approx(2.5, rel=1e-12)
     tiny = SystemConfig(n_tx=1, m_s=1, m_c=1, n_symbols=100,
-                        var_eta=0.1, var_s=1.0, var_c=1.0, p_total=1.0)
+                        var_eta=0.1, var_s=1.0, var_c=1.0)
     assert sensing_distortion(PowerAllocation(np.array([0.1])), tiny) == pytest.approx(0.05, rel=1e-12)
     with pytest.raises(ValueError):
         sensing_distortion(uniform_allocation(1.0, 9), cfg10)

@@ -53,14 +53,16 @@ def test_split_golden_value(cfg10):
 
 def test_dead_link_makes_split_irrelevant():
     cfg = reference_system(10.0)
-    alphas = np.zeros(cfg.n_tx)
-    for p_s in (0.0, 0.3, 0.7, 1.0):
-        rep = evaluate_split(p_s, cfg, alphas)
-        assert rep.d_sc == pytest.approx(0.5 * cfg.m_s * cfg.n_tx * cfg.var_eta * 2,
-                                         rel=1e-12)
-    sol = optimize_separated(cfg, alphas)
-    assert sol.report.d_sc == pytest.approx(5.0, rel=1e-9)
-    assert (sol.p_s, sol.slope, sol.evaluations) == (0.0, 0.0, 0)
+    # a gain whose floor 1/alpha overflows carries no rate, as a zero does
+    for first in (0.0, 5e-324, 1e-309):
+        alphas = np.array([first] + [0.0] * (cfg.n_tx - 1))
+        for p_s in (0.0, 0.3, 0.7, 1.0):
+            rep = evaluate_split(p_s, cfg, alphas)
+            assert rep.d_sc == pytest.approx(0.5 * cfg.m_s * cfg.n_tx * cfg.var_eta * 2,
+                                             rel=1e-12)
+        sol = optimize_separated(cfg, alphas)
+        assert sol.report.d_sc == pytest.approx(5.0, rel=1e-9)
+        assert (sol.p_s, sol.slope, sol.evaluations) == (0.0, 0.0, 0)
 
 
 def test_optimizer_beats_endpoint_neighborhoods(cfg10):
