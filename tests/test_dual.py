@@ -8,7 +8,8 @@ from cas import (PowerAllocation, alphas_from_channel, evaluate_dual,
 from cas import dual
 from cas.dual import (INIT_COMMUNICATION, INIT_SENSING, capacity_gradient,
                       gradient_step, optimize_dual)
-from cas.experiment import ExperimentConfig, SweepRecord, collect_sweep
+from cas.experiment import (ExperimentConfig, SweepRecord, collect_sweep,
+                            run_point)
 from cas.waterfilling import uniform_allocation, waterfill_capacity
 from conftest import reference_system
 
@@ -149,6 +150,19 @@ def test_optimize_dual_validation(cfg10):
     alphas = channel_alphas(0, cfg10)
     with pytest.raises(ValueError):
         optimize_dual(cfg10, alphas, init_kind="other")
+
+
+def test_search_does_not_depend_on_power_scale():
+    # at fixed SNRs the model is the same at every p_total, and so must be
+    # the search: at p_total 1e-8 the dual search still takes its steps
+    def solve(p_total):
+        cfg = ExperimentConfig(p_total=p_total, scheme="dual", curve_points=0)
+        (rec,) = run_point(cfg, 3, 10.0)
+        return rec
+
+    ref, small = solve(1.0), solve(1e-8)
+    assert ref.iterations > 0 and small.iterations > 0
+    assert small.d_sc == pytest.approx(ref.d_sc, rel=1e-9)
 
 
 @pytest.mark.parametrize("p_total", [1e-300, 1e-8, 1e8, 1e300])
