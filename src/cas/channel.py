@@ -13,12 +13,12 @@ from .model import SystemConfig, check_vector, read_only
 _STREAM_CHANNEL = 0
 
 
-def _rng(stream: int, *keys: int) -> np.random.Generator:
+def _rng(stream: int, *keys: int) -> "np.random.Generator":
     # SeedSequence refuses a negative key, and keys of any size get their own draw
     return np.random.default_rng([stream, *map(int, keys)])
 
 
-def _complex_normal(rng: np.random.Generator, shape, var: float = 1.0) -> np.ndarray:
+def _complex_normal(rng: "np.random.Generator", shape, var: float = 1.0) -> np.ndarray:
     scale = np.sqrt(var / 2.0)
     return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
 

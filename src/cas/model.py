@@ -147,8 +147,13 @@ def sensing_subchannel_distortion(lambda_s, cfg: SystemConfig):
     lam = np.asarray(lambda_s, dtype=float)
     if np.any(lam < 0):
         raise ValueError("sensing eigenvalue power must be nonnegative")
-    out = cfg.var_eta / (1.0 + cfg.n_symbols * cfg.var_eta * lam / cfg.var_s)
+    out = subchannel_mmse(lam, cfg)
     return out.item() if out.ndim == 0 else out
+
+
+def subchannel_mmse(lam, cfg: SystemConfig):
+    """The formula of sensing_subchannel_distortion, unchecked, on a float or an array."""
+    return cfg.var_eta / (1.0 + cfg.n_symbols * cfg.var_eta * lam / cfg.var_s)
 
 
 def source_eigenvalue(lambda_s, cfg: SystemConfig):

@@ -10,15 +10,18 @@ closed-form:
 
 with C the water-filling capacity.  Its derivative is explicit, so the
 optimal split is found as a root of the derivative by bisection on its sign.
+C is piecewise analytic in p_c once the floors 1/alpha are sorted, so the
+search sorts the gains once per link (``capacity_curve``) and evaluates
+each slope on plain floats; only the returned split is water-filled in full.
 """
 
 import math
 from dataclasses import dataclass
 
 from .model import (DistortionReport, PowerAllocation, SystemConfig,
-                    check_vector, live_gains, sensing_subchannel_distortion)
-from .waterfilling import (WaterfillResult, evaluate, uniform_allocation,
-                           waterfill_capacity)
+                    check_vector, subchannel_mmse)
+from .waterfilling import (WaterfillResult, capacity_curve, evaluate,
+                           uniform_allocation, waterfill_capacity)
 
 
 @dataclass(frozen=True)
@@ -47,47 +50,67 @@ def compose_split(p_s: float, cfg: SystemConfig,
     return evaluate(uniform_allocation(p_s, cfg.n_tx), wf.capacity, cfg), wf
 
 
-def evaluate_split(p_s: float, cfg: SystemConfig, alphas) -> DistortionReport:
-    """End-to-end distortion of spending ``p_s`` on sensing and the rest on forwarding."""
+def _split_power(p_s: float, cfg: SystemConfig) -> float:
+    """``p_s`` as a float in [0, p_total], within which it must lie to 1e-12."""
     if not (-1e-12 <= p_s <= cfg.p_total + 1e-12):
         raise ValueError(f"p_s must lie in [0, p_total], got {p_s!r}")
-    p_s = min(max(float(p_s), 0.0), cfg.p_total)
-    return compose_split(p_s, cfg, check_vector(alphas, "alphas", cfg.n_tx))[0]
+    return min(max(float(p_s), 0.0), cfg.p_total)
 
 
-def split_slope(p_s: float, cfg: SystemConfig, alphas) -> float:
-    """Derivative of evaluate_split's d_sc with respect to p_s, on a live link.
+def evaluate_split(p_s: float, cfg: SystemConfig, alphas) -> DistortionReport:
+    """End-to-end distortion of spending ``p_s`` on sensing and the rest on forwarding."""
+    return compose_split(_split_power(p_s, cfg), cfg,
+                         check_vector(alphas, "alphas", cfg.n_tx))[0]
+
+
+def split_slope(p_s: float, cfg: SystemConfig, alphas, *, curve=None) -> float:
+    """Derivative of evaluate_split's d_sc with respect to p_s.
 
     dd_sc/dp_s = m*f'(x)*(1 - E) + g(x)*E/level, where x = p_s/n,
     f' = -T*f^2/var_s, E = exp(-C/(m*n)), and C and level are the capacity
-    and water level at p_c = p_total - p_s (dC/dp_c = 1/level).
+    and water level at p_c = p_total - p_s (dC/dp_c = 1/level), read off
+    ``curve = capacity_curve(alphas)`` in plain floats.  A caller that
+    evaluates many splits of one link passes that curve, so the gains are
+    sorted once.  On a dead link d_sc does not depend on the split, and the
+    slope is 0.0.  p_s is checked as evaluate_split checks it.
     """
-    f = sensing_subchannel_distortion(p_s / cfg.n_tx, cfg)
-    wf = waterfill_capacity(cfg.p_total - p_s, alphas)
-    c = wf.capacity / (cfg.m_s * cfg.n_tx)
+    p_s = _split_power(p_s, cfg)
+    if curve is None:
+        curve = capacity_curve(check_vector(alphas, "alphas", cfg.n_tx))
+        if curve is None:
+            return 0.0
+    f = subchannel_mmse(p_s / cfg.n_tx, cfg)
+    level, capacity = curve(cfg.p_total - p_s)
+    c = capacity / (cfg.m_s * cfg.n_tx)
     d_f = -cfg.n_symbols * f * f / cfg.var_s
-    return (-cfg.m_s * d_f * math.expm1(-c)
-            + (cfg.var_eta - f) * math.exp(-c) / wf.level)
+    return -cfg.m_s * d_f * math.expm1(-c) + (cfg.var_eta - f) * math.exp(-c) / level
 
 
 def optimize_separated(cfg: SystemConfig, alphas) -> SeparatedSolution:
     """Optimal sensing/communication power split, from the root of split_slope.
 
-    The slope is negative at p_s = 0 and positive at p_s = p_total on a live
-    link; bisection on its sign keeps a bracket with a negative slope at the
-    left end and a nonnegative one at the right end until the two ends are
-    adjacent floats (about 55 evaluations), so the result is a local
-    minimum.  Of the two ends, the one with the smaller |slope| is returned,
-    with one water-filling at its p_c giving both comm_alloc and the
-    report's rate.  On a dead link (no live gain) d_sc does not depend on
-    the split, and p_s = 0 is returned with slope 0.
+    The gains are sorted once per call (``capacity_curve``), and the search
+    evaluates the slope on plain floats.  The slope is negative at p_s = 0
+    and positive at p_s = p_total on a live link; bisection on its sign
+    keeps a bracket with a negative slope at the left end and a nonnegative
+    one at the right end until the two ends are adjacent floats (about 55
+    evaluations), so the result is a local minimum.  Of the two ends, the
+    one with the smaller |slope| is returned, with one water-filling at its
+    p_c giving both comm_alloc and the report's rate.  On a dead link (no
+    live gain) d_sc does not depend on the split, and p_s = 0 is returned
+    with slope 0.
     """
-    if not live_gains(check_vector(alphas, "alphas", cfg.n_tx)).any():
+    alphas = check_vector(alphas, "alphas", cfg.n_tx)
+    curve = capacity_curve(alphas)
+    if curve is None:
         p_s, slope, evals = 0.0, 0.0, 0
     else:
+        def slope_at(p_s):
+            return split_slope(p_s, cfg, alphas, curve=curve)
+
         lo, hi = 0.0, cfg.p_total
-        s_lo = split_slope(lo, cfg, alphas)
-        s_hi = split_slope(hi, cfg, alphas)
+        s_lo = slope_at(lo)
+        s_hi = slope_at(hi)
         evals = 2
         if s_lo >= 0:
             p_s, slope = lo, s_lo
@@ -98,7 +121,7 @@ def optimize_separated(cfg: SystemConfig, alphas) -> SeparatedSolution:
                 mid = 0.5 * (lo + hi)
                 if not lo < mid < hi:
                     break
-                s = split_slope(mid, cfg, alphas)
+                s = slope_at(mid)
                 evals += 1
                 if s < 0:
                     lo, s_lo = mid, s

@@ -1,15 +1,19 @@
 """Water-filling solvers for the forward link and its reverse (rate-distortion) dual.
 
 Both solve one problem, the level L with sum_i max(L - o_i, 0) = B over
-floors o, which ``_fill`` reads off sorted prefix sums in a fixed number of
+floors o, which ``_depth`` reads off sorted prefix sums in a fixed number of
 steps.  Capacity has o = 1/alpha and B = p_c (Palomar & Fonollosa, IEEE TSP
 2005); the reverse has o = -log eig, B = R/m and xi = exp(-L) (Cover &
 Thomas, Elements of Information Theory, section 10.3.3), stable across many
-orders of magnitude.  Each forward solve carries a KKT residual.
+orders of magnitude.  Each forward solve carries a KKT residual.  For one
+link at many budgets, ``capacity_curve`` sorts the floors once and gives
+the level and capacity at each budget in plain floats.
 """
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -78,22 +82,64 @@ def _kkt_residual(lam: np.ndarray, level: float, alphas: np.ndarray,
     return max(r_power, r_stat, r_dual)
 
 
+def _depth(ordered, prefix, budget: float) -> float:
+    """Depth of the level L with sum_i max(L - o_i, 0) = budget above the lowest floor.
+
+    ``ordered`` are the floors' offsets o above the lowest one, ascending
+    (so o_1 = 0), and ``prefix`` their running sums, both plain float
+    sequences.  Filling the k lowest gives the depth (budget + o_1 + ... +
+    o_k)/k; the depth is that of the largest k whose depth reaches o_k.
+    """
+    for k in range(len(ordered), 0, -1):
+        depth = (budget + prefix[k - 1]) / k
+        # k = 1 always qualifies, since its depth is budget >= 0 = o_1
+        if depth >= ordered[k - 1]:
+            return depth
+
+
 def _fill(floors: np.ndarray, budget: float):
     """Level L with sum_i max(L - floors_i, 0) = budget, and each floor's depth under L.
 
-    With the floors measured as offsets o above the lowest one and sorted,
-    filling the k lowest gives the depth (budget + o_1 + ... + o_k)/k above
-    the lowest floor; the depth is that of the largest k whose depth reaches
-    o_k.  Every filled offset is at most depth <= budget, so even a budget
-    far below the floors' float spacing is handed out whole.
+    The depth above the lowest floor is ``_depth`` on the sorted offsets.
+    Every filled offset is at most depth <= budget, so even a budget far
+    below the floors' float spacing is handed out whole.
     """
     low = floors.min()
     offsets = floors - low
-    ordered = np.sort(offsets)
-    depths = (budget + np.cumsum(ordered)) / np.arange(1, ordered.size + 1)
-    # k = 1 always qualifies, since depths[0] = budget and ordered[0] = 0
-    depth = depths[np.flatnonzero(depths >= ordered)[-1]]
+    ordered = np.sort(offsets).tolist()
+    depth = _depth(ordered, list(accumulate(ordered)), budget)
     return float(low + depth), np.maximum(depth - offsets, 0.0)
+
+
+def capacity_curve(alphas):
+    """Water level and capacity of ``waterfill_capacity`` as a function of p_c, for fixed gains.
+
+    Sorts the floors 1/alpha of the live gains once, with their offsets and
+    prefix sums; each call of the returned ``curve(p_c) -> (level,
+    capacity)`` is then ``_depth`` and at most one log1p per gain in plain
+    floats.  The level is the same float as waterfill_capacity's and the
+    capacity its correctly rounded sum (math.fsum) of the same terms.
+    None on a dead link.
+    """
+    a = check_vector(alphas, "alphas")
+    # descending gains have ascending floors
+    gains = np.sort(a[live_gains(a)])[::-1]
+    if not gains.size:
+        return None
+    floors = 1.0 / gains
+    low = float(floors[0])
+    offsets = (floors - low).tolist()
+    gains = gains.tolist()
+    prefix = list(accumulate(offsets))
+
+    def curve(p_c: float) -> tuple[float, float]:
+        depth = _depth(offsets, prefix, p_c)
+        # the offsets below the depth are those of the channels with power
+        active = range(bisect_left(offsets, depth))
+        return low + depth, math.fsum(math.log1p(gains[i] * (depth - offsets[i]))
+                                      for i in active)
+
+    return curve
 
 
 def waterfill_capacity(p_c: float, alphas) -> WaterfillResult:

@@ -1,17 +1,22 @@
 """Independent references that the tests check the package against.
 
-None of these is on the solve path. They draw from the package's own seeded
-streams (``cas.channel._rng``), so every channel matrix and Monte Carlo trial
-is the same draw the package would make:
+None of these is on the solve path.  The split slope water-fills in full
+at each call, with no sorted form kept.  The random ones draw from the package's own
+seeded streams (``cas.channel._rng``), so every channel matrix and Monte
+Carlo trial is the same draw the package would make:
 
     stream 0: communication channel entries (``channel_matrix``)
     stream 2: Monte Carlo estimation trials (one child per trial)
 """
 
+import math
+
 import numpy as np
 
 from cas.channel import _STREAM_CHANNEL, _complex_normal, _rng
-from cas.model import PowerAllocation, SystemConfig
+from cas.model import (PowerAllocation, SystemConfig,
+                       sensing_subchannel_distortion)
+from cas.waterfilling import waterfill_capacity
 
 # stream 1 is unused: renumbering the Monte Carlo stream would change its draws
 _STREAM_MC = 2
@@ -20,6 +25,21 @@ _STREAM_MC = 2
 def channel_matrix(seed: int, m_c: int, n_tx: int) -> np.ndarray:
     """The m_c x n_tx channel h whose Gram eigenvalues ``generate_rayleigh`` returns."""
     return _complex_normal(_rng(_STREAM_CHANNEL, seed), (int(m_c), int(n_tx)))
+
+
+def split_slope_terms(p_s, cfg: SystemConfig, alphas):
+    """The two terms of dd_sc/dp_s, from a full ``waterfill_capacity`` at p_total - p_s.
+
+    Returns (m*f'(x)*(1 - E), g(x)*E/level) with x = p_s/n and
+    E = exp(-C/(m*n)), whose sum is the slope; the gains are validated,
+    inverted and sorted afresh at each call.  Live links only.
+    """
+    f = sensing_subchannel_distortion(p_s / cfg.n_tx, cfg)
+    wf = waterfill_capacity(cfg.p_total - p_s, alphas)
+    c = wf.capacity / (cfg.m_s * cfg.n_tx)
+    d_f = -cfg.n_symbols * f * f / cfg.var_s
+    return (-cfg.m_s * d_f * math.expm1(-c),
+            (cfg.var_eta - f) * math.exp(-c) / wf.level)
 
 
 def random_unitary(n, seed):

@@ -516,11 +516,11 @@ def test_cli_module_entry(tmp_path):
     assert proc.stdout.startswith("scheme,")
 
 
-def loaded_by_import(module, cwd):
-    """Whether a fresh interpreter has ``module`` loaded after importing the command line."""
+def loaded_by_import(module, cwd, code="import cas.cli"):
+    """Whether a fresh interpreter has ``module`` loaded after running ``code``."""
     proc = subprocess.run(
         [sys.executable, "-c",
-         f"import sys, cas.cli; print({module!r} in sys.modules)"],
+         f"import sys\n{code}\nprint({module!r} in sys.modules)"],
         capture_output=True, text=True, env=src_env(), cwd=str(cwd))
     assert proc.returncode == 0, proc.stderr
     return {"True": True, "False": False}[proc.stdout.strip()]
@@ -533,6 +533,13 @@ def test_import_does_not_load_scipy(tmp_path):
 def test_import_does_not_load_process_pool(tmp_path):
     # the pool is only needed for jobs > 1; a serial run should not pay for it
     assert not loaded_by_import("concurrent.futures.process", tmp_path)
+
+
+def test_configuring_does_not_load_numpy_random(tmp_path):
+    # only the channel draw needs numpy.random; a command that exits on a
+    # configuration error should not pay its import time and memory
+    code = "import cas.experiment\ncas.experiment.config_from_mapping({})"
+    assert not loaded_by_import("numpy.random", tmp_path, code)
 
 
 def test_parallel_jobs_match_serial(tmp_path):

@@ -2,14 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from cas import (alphas_from_channel, evaluate_dual, evaluate_split,
-                 generate_rayleigh, optimize_dual_best, optimize_separated)
+                 generate_rayleigh, optimize_dual_best, optimize_separated,
+                 separated)
 from cas.dual import INIT_COMMUNICATION, INIT_SENSING, optimize_dual
 from cas.model import sensing_subchannel_distortion
 from cas.waterfilling import uniform_allocation, waterfill_capacity
 from cas.separated import split_slope
 from conftest import reference_system
+from oracles import split_slope_terms
 
 
 def channel_alphas(seed, cfg):
@@ -124,6 +128,61 @@ def test_split_slope_matches_finite_difference(cfg10):
             fd = (evaluate_split(p_s + h, cfg10, alphas).d_sc
                   - evaluate_split(p_s - h, cfg10, alphas).d_sc) / (2 * h)
             assert split_slope(p_s, cfg10, alphas) == pytest.approx(fd, rel=1e-5)
+
+
+def test_split_slope_on_dead_link_is_zero():
+    cfg = reference_system(10.0)
+    for first in (0.0, 5e-324, 1e-309):
+        alphas = np.array([first] + [0.0] * (cfg.n_tx - 1))
+        for p_s in (0.0, 0.3, 1.0):
+            assert split_slope(p_s, cfg, alphas) == 0.0
+
+
+def test_split_slope_refuses_p_s_outside_budget(cfg10):
+    alphas = channel_alphas(0, cfg10)
+    for bad in (-0.01, cfg10.p_total + 0.01, math.nan):
+        with pytest.raises(ValueError, match=r"p_s must lie in \[0, p_total\]"):
+            split_slope(bad, cfg10, alphas)
+
+
+# gains with ties (the sampled values), dead ones (0 and 5e-324) and floors
+# 1/alpha far above the budget, whose float spacing a p_c of one ulp of
+# p_total is below
+GAINS = st.lists(st.one_of(st.sampled_from([0.0, 5e-324, 1e-3, 1.0, 2.0, 1e3]),
+                           st.floats(1e-4, 1e4)),
+                 min_size=10, max_size=10).filter(lambda g: max(g) > 1e-300)
+SPLITS = st.one_of(st.sampled_from([0.0, 1.0, math.nextafter(1.0, 0.0), 1.0 - 1e-15]),
+                   st.floats(0.0, 1.0))
+
+# measured worst over 20,000 random draws: 4.9e-16 of |term 1| + |term 2|
+SLOPE_ORACLE_RTOL = 1e-13
+
+
+@example(alphas=[1e-3] * 10, p_s=math.nextafter(1.0, 0.0), snr_s=20.0)
+@example(alphas=[5e-324, 2.0, 0.0, 2.0] + [0.0] * 6, p_s=1.0, snr_s=20.0)
+@example(alphas=[1e3, 1e-4] + [0.0] * 8, p_s=0.0, snr_s=90.0)
+@given(alphas=GAINS, p_s=SPLITS, snr_s=st.floats(0.0, 90.0))
+def test_split_slope_matches_waterfill_oracle(alphas, p_s, snr_s):
+    cfg = reference_system(10.0, snr_s)
+    a, b = split_slope_terms(p_s, cfg, np.array(alphas))
+    assert abs(split_slope(p_s, cfg, alphas) - (a + b)) <= SLOPE_ORACLE_RTOL * (abs(a) + abs(b))
+
+
+def test_optimizer_water_fills_once(monkeypatch):
+    # the search reads the sorted gains; only the final evaluation water-fills
+    calls = []
+
+    def counted(p_c, alphas):
+        calls.append(p_c)
+        return waterfill_capacity(p_c, alphas)
+
+    monkeypatch.setattr(separated, "waterfill_capacity", counted)
+    for snr_s, snr_c, seed in CERTIFIED[::7]:
+        cfg = reference_system(snr_c, snr_s)
+        calls.clear()
+        sol = optimize_separated(cfg, channel_alphas(seed, cfg))
+        assert calls == [sol.p_c]
+        assert sol.evaluations <= 70
 
 
 def dense_d_sc(cfg, alphas, p_s):
