@@ -83,34 +83,31 @@ def split_slope(p_s: float, cfg: SystemConfig, alphas, *, curve=None) -> float:
     level, capacity = curve(cfg.p_total - p_s)
     c = capacity / (cfg.m_s * cfg.n_tx)
     d_f = -cfg.n_symbols * f * f / cfg.var_s
-    return -cfg.m_s * d_f * math.expm1(-c) + (cfg.var_eta - f) * math.exp(-c) / level
+    return (-cfg.m_s * d_f * math.expm1(-c)
+            + (cfg.var_eta - f) * math.exp(-c) / level)
 
 
 def optimize_separated(cfg: SystemConfig, alphas) -> SeparatedSolution:
     """Optimal sensing/communication power split, from the root of split_slope.
 
-    The gains are sorted once per call (``capacity_curve``), and the search
-    evaluates the slope on plain floats.  The slope is negative at p_s = 0
-    and positive at p_s = p_total on a live link; bisection on its sign
-    keeps a bracket with a negative slope at the left end and a nonnegative
-    one at the right end until the two ends are adjacent floats (about 55
-    evaluations), so the result is a local minimum.  Of the two ends, the
-    one with the smaller |slope| is returned, with one water-filling at its
-    p_c giving both comm_alloc and the report's rate.  On a dead link (no
-    live gain) d_sc does not depend on the split, and p_s = 0 is returned
-    with slope 0.
+    The slope is negative at p_s = 0 and positive at p_s = p_total on a live
+    link; bisection on its sign keeps a bracket with a negative slope at the
+    left end and a nonnegative one at the right end until the two ends are
+    adjacent floats (about 55 evaluations), so the result is a local
+    minimum.  Every evaluation reads one ``capacity_curve`` of the gains,
+    built once per call.  Of the two ends, the one with the smaller |slope|
+    is returned, with one water-filling at its p_c giving both comm_alloc
+    and the report's rate.  On a dead link (no live gain) d_sc does not
+    depend on the split, and p_s = 0 is returned with slope 0.
     """
     alphas = check_vector(alphas, "alphas", cfg.n_tx)
     curve = capacity_curve(alphas)
     if curve is None:
         p_s, slope, evals = 0.0, 0.0, 0
     else:
-        def slope_at(p_s):
-            return split_slope(p_s, cfg, alphas, curve=curve)
-
         lo, hi = 0.0, cfg.p_total
-        s_lo = slope_at(lo)
-        s_hi = slope_at(hi)
+        s_lo = split_slope(lo, cfg, alphas, curve=curve)
+        s_hi = split_slope(hi, cfg, alphas, curve=curve)
         evals = 2
         if s_lo >= 0:
             p_s, slope = lo, s_lo
@@ -121,7 +118,7 @@ def optimize_separated(cfg: SystemConfig, alphas) -> SeparatedSolution:
                 mid = 0.5 * (lo + hi)
                 if not lo < mid < hi:
                     break
-                s = slope_at(mid)
+                s = split_slope(mid, cfg, alphas, curve=curve)
                 evals += 1
                 if s < 0:
                     lo, s_lo = mid, s

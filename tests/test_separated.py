@@ -41,10 +41,10 @@ def test_zero_sensing_split(cfg10):
 
 def test_split_out_of_range_raises(cfg10):
     alphas = channel_alphas(0, cfg10)
-    with pytest.raises(ValueError):
-        evaluate_split(-0.01, cfg10, alphas)
-    with pytest.raises(ValueError):
-        evaluate_split(cfg10.p_total + 0.01, cfg10, alphas)
+    for score in (evaluate_split, split_slope):
+        for bad in (-0.01, cfg10.p_total + 0.01, math.nan):
+            with pytest.raises(ValueError, match=r"p_s must lie in \[0, p_total\]"):
+                score(bad, cfg10, alphas)
 
 
 def test_split_golden_value(cfg10):
@@ -64,6 +64,7 @@ def test_dead_link_makes_split_irrelevant():
             rep = evaluate_split(p_s, cfg, alphas)
             assert rep.d_sc == pytest.approx(0.5 * cfg.m_s * cfg.n_tx * cfg.var_eta * 2,
                                              rel=1e-12)
+            assert split_slope(p_s, cfg, alphas) == 0.0
         sol = optimize_separated(cfg, alphas)
         assert sol.report.d_sc == pytest.approx(5.0, rel=1e-9)
         assert (sol.p_s, sol.slope, sol.evaluations) == (0.0, 0.0, 0)
@@ -128,21 +129,6 @@ def test_split_slope_matches_finite_difference(cfg10):
             fd = (evaluate_split(p_s + h, cfg10, alphas).d_sc
                   - evaluate_split(p_s - h, cfg10, alphas).d_sc) / (2 * h)
             assert split_slope(p_s, cfg10, alphas) == pytest.approx(fd, rel=1e-5)
-
-
-def test_split_slope_on_dead_link_is_zero():
-    cfg = reference_system(10.0)
-    for first in (0.0, 5e-324, 1e-309):
-        alphas = np.array([first] + [0.0] * (cfg.n_tx - 1))
-        for p_s in (0.0, 0.3, 1.0):
-            assert split_slope(p_s, cfg, alphas) == 0.0
-
-
-def test_split_slope_refuses_p_s_outside_budget(cfg10):
-    alphas = channel_alphas(0, cfg10)
-    for bad in (-0.01, cfg10.p_total + 0.01, math.nan):
-        with pytest.raises(ValueError, match=r"p_s must lie in \[0, p_total\]"):
-            split_slope(bad, cfg10, alphas)
 
 
 # gains with ties (the sampled values), dead ones (0 and 5e-324) and floors
