@@ -5,7 +5,9 @@ forwards it to a fusion center over a fading link.  End-to-end distortion
 splits into an estimation part (sensing noise) and a delivery part
 (rate-limited forwarding), and both reduce to per-eigenchannel scalar
 formulas once the transmit covariance is diagonalized.  This module holds
-the shared configuration/result types and those scalar formulas.
+the shared configuration/result types and those scalar formulas:
+``subchannel_mmse`` is the one sensing MMSE, ``source_eigenvalue`` its
+checked entry, and ``capacity_eigform`` the one rate of an allocation.
 """
 
 import math
@@ -102,10 +104,9 @@ class DistortionReport:
     """End-to-end distortion breakdown for one transmit strategy.
 
     d_sc is assembled as d_s + d_c, never re-derived, so the identity holds
-    exactly in floating point.  source_eigs are the per-eigenchannel
-    variances of the estimate handed to the forwarding stage (length n_tx,
-    each conceptually repeated m_s times).  capacity may be math.inf for an
-    idealized unconstrained link.  xi is their reverse water level.
+    exactly in floating point.  capacity may be math.inf for an idealized
+    unconstrained link.  xi is the reverse water level of the forwarded
+    source eigenvalues (``source_eigenvalue`` of the allocation).
     """
 
     d_s: float
@@ -113,10 +114,8 @@ class DistortionReport:
     d_sc: float
     capacity: float
     xi: float
-    source_eigs: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "source_eigs", read_only(self.source_eigs))
         if self.d_sc != self.d_s + self.d_c:
             raise ValueError("d_sc must equal d_s + d_c exactly")
 
@@ -136,35 +135,28 @@ def live_gains(alphas) -> np.ndarray:
         return np.isfinite(1.0 / np.asarray(alphas, dtype=float))
 
 
-def sensing_subchannel_distortion(lambda_s, cfg: SystemConfig):
-    """MMSE of one target-response eigenchannel given sensing power ``lambda_s``.
-
-    Accepts a scalar or an array of eigenvalues.  Decreasing and convex in
-    lambda_s; equals var_eta at zero power and vanishes as power grows.
-    Written as var_eta over a divisor >= 1 so it never rounds above var_eta,
-    which keeps source_eigenvalue nonnegative in floating point.
-    """
-    lam = np.asarray(lambda_s, dtype=float)
-    if np.any(lam < 0):
-        raise ValueError("sensing eigenvalue power must be nonnegative")
-    out = subchannel_mmse(lam, cfg)
-    return out.item() if out.ndim == 0 else out
-
-
 def subchannel_mmse(lam, cfg: SystemConfig):
-    """The formula of sensing_subchannel_distortion, unchecked, on a float or an array."""
+    """MMSE of one target-response eigenchannel given sensing power ``lam``.
+
+    Takes a float or an array of powers and checks none of them.  Decreasing
+    and convex in lam; equals var_eta at zero power and vanishes as power
+    grows.  Written as var_eta over a divisor >= 1 so it never rounds above
+    var_eta for lam >= 0, which keeps source_eigenvalue nonnegative in
+    floating point.
+    """
     return cfg.var_eta / (1.0 + cfg.n_symbols * cfg.var_eta * lam / cfg.var_s)
 
 
 def source_eigenvalue(lambda_s, cfg: SystemConfig):
     """Variance of one eigenchannel of the MMSE estimate (the forwarded source).
 
-    Complementary to the estimation error: implemented as
-    var_eta - sensing_subchannel_distortion so the two sum to var_eta
-    exactly in floating point.
+    The checked entry to the sensing formula: refuses a negative power,
+    then returns var_eta - subchannel_mmse, so the estimate and its error
+    sum to var_eta exactly in floating point.
     """
-    f = sensing_subchannel_distortion(lambda_s, cfg)
-    return cfg.var_eta - f
+    if np.any(np.asarray(lambda_s) < 0):
+        raise ValueError("sensing eigenvalue power must be nonnegative")
+    return cfg.var_eta - subchannel_mmse(lambda_s, cfg)
 
 
 def sensing_distortion(alloc: PowerAllocation, cfg: SystemConfig) -> float:
@@ -173,8 +165,7 @@ def sensing_distortion(alloc: PowerAllocation, cfg: SystemConfig) -> float:
         raise ValueError(
             f"allocation length {len(alloc)} does not match n_tx {cfg.n_tx}"
         )
-    per = sensing_subchannel_distortion(alloc.lambdas, cfg)
-    return cfg.m_s * float(np.sum(per))
+    return cfg.m_s * float(np.sum(subchannel_mmse(alloc.lambdas, cfg)))
 
 
 def capacity_eigform(alloc: PowerAllocation, alphas) -> float:
@@ -187,21 +178,17 @@ def capacity_eigform(alloc: PowerAllocation, alphas) -> float:
     return float(np.sum(np.log1p(a * alloc.lambdas)))
 
 
-def assemble_report(d_s: float, d_c: float, capacity: float, xi: float,
-                    source_eigs) -> DistortionReport:
+def assemble_report(d_s: float, d_c: float, capacity: float,
+                    xi: float) -> DistortionReport:
     """Build a DistortionReport, validating domains and summing d_sc = d_s + d_c."""
-    eigs = np.asarray(source_eigs, dtype=float)
     if d_s < 0 or d_c < 0 or xi < 0:
         raise ValueError("distortions and the water level must be nonnegative")
     if capacity < 0:
         raise ValueError("capacity must be nonnegative")
-    if np.any(eigs < 0):
-        raise ValueError("source eigenvalues must be nonnegative")
     return DistortionReport(
         d_s=float(d_s),
         d_c=float(d_c),
         d_sc=float(d_s) + float(d_c),
         capacity=float(capacity),
         xi=float(xi),
-        source_eigs=eigs,
     )

@@ -93,12 +93,15 @@ def optimize_separated(cfg: SystemConfig, alphas) -> SeparatedSolution:
     The slope is negative at p_s = 0 and positive at p_s = p_total on a live
     link; bisection on its sign keeps a bracket with a negative slope at the
     left end and a nonnegative one at the right end until the two ends are
-    adjacent floats (about 55 evaluations), so the result is a local
-    minimum.  Every evaluation reads one ``capacity_curve`` of the gains,
-    built once per call.  Of the two ends, the one with the smaller |slope|
-    is returned, with one water-filling at its p_c giving both comm_alloc
-    and the report's rate.  On a dead link (no live gain) d_sc does not
-    depend on the split, and p_s = 0 is returned with slope 0.
+    adjacent floats, so the result is a local minimum.  That takes about 55
+    evaluations at typical systems, and at most 2 + 1,074 = 1,076: the
+    bracket's width halves from p_total = 1 down to the float spacing at
+    the root, which is at least 2**-1074 (near 0).  Every evaluation reads
+    one ``capacity_curve`` of the gains, built once per call.  Of the two
+    ends, the one with the smaller |slope| is returned, with one
+    water-filling at its p_c giving both comm_alloc and the report's rate.
+    On a dead link (no live gain) d_sc does not depend on the split, and
+    p_s = 0 is returned with slope 0.
     """
     alphas = check_vector(alphas, "alphas", cfg.n_tx)
     curve = capacity_curve(alphas)

@@ -5,9 +5,10 @@ floors o, which ``_depth`` reads off sorted prefix sums in a fixed number of
 steps.  Capacity has o = 1/alpha and B = p_c (Palomar & Fonollosa, IEEE TSP
 2005); the reverse has o = -log eig, B = R/m and xi = exp(-L) (Cover &
 Thomas, Elements of Information Theory, section 10.3.3), stable across many
-orders of magnitude.  Each forward solve carries a KKT residual.  For one
-link at many budgets, ``capacity_curve`` sorts the floors once and gives
-the level and capacity at each budget in plain floats.
+orders of magnitude.  Each forward solve reads its rate from
+``capacity_eigform`` and carries a KKT residual.  For one link at many
+budgets, ``capacity_curve`` sorts the floors once and gives the level and
+capacity at each budget in plain floats.
 """
 
 import math
@@ -18,8 +19,9 @@ from itertools import accumulate
 import numpy as np
 
 from .model import (DistortionReport, PowerAllocation, SystemConfig,
-                    assemble_report, check_vector, live_gains, read_only,
-                    sensing_distortion, source_eigenvalue)
+                    assemble_report, capacity_eigform, check_vector,
+                    live_gains, read_only, sensing_distortion,
+                    source_eigenvalue)
 
 
 @dataclass(frozen=True)
@@ -171,8 +173,7 @@ def waterfill_capacity(p_c: float, alphas) -> WaterfillResult:
     lam = np.zeros(n)
     lam[pos] = filled
     alloc = PowerAllocation(lam)
-    capacity = float(np.sum(np.log1p(a * lam)))
-    return WaterfillResult(alloc, level, capacity,
+    return WaterfillResult(alloc, level, capacity_eigform(alloc, a),
                            _kkt_residual(lam, level, a, float(p_c)))
 
 
@@ -223,4 +224,4 @@ def evaluate(alloc: PowerAllocation, capacity: float,
     eta = source_eigenvalue(alloc.lambdas, cfg)
     rwf = reverse_waterfill(eta, cfg.m_s, capacity)
     return assemble_report(sensing_distortion(alloc, cfg), rwf.d_c, capacity,
-                           rwf.xi, eta)
+                           rwf.xi)

@@ -14,8 +14,7 @@ import math
 import numpy as np
 
 from cas.channel import _STREAM_CHANNEL, _complex_normal, _rng
-from cas.model import (PowerAllocation, SystemConfig,
-                       sensing_subchannel_distortion)
+from cas.model import PowerAllocation, SystemConfig, subchannel_mmse
 from cas.waterfilling import waterfill_capacity
 
 # stream 1 is unused: renumbering the Monte Carlo stream would change its draws
@@ -34,7 +33,7 @@ def split_slope_terms(p_s, cfg: SystemConfig, alphas):
     E = exp(-C/(m*n)), whose sum is the slope; the gains are validated,
     inverted and sorted afresh at each call.  Live links only.
     """
-    f = sensing_subchannel_distortion(p_s / cfg.n_tx, cfg)
+    f = subchannel_mmse(p_s / cfg.n_tx, cfg)
     wf = waterfill_capacity(cfg.p_total - p_s, alphas)
     c = wf.capacity / (cfg.m_s * cfg.n_tx)
     d_f = -cfg.n_symbols * f * f / cfg.var_s

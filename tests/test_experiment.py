@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import multiprocessing
 import os
 import re
 import shlex
@@ -456,7 +457,7 @@ def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
                  "--scheme", "separated"]) == 0
     rows = capsys.readouterr().out.splitlines()[1:]
     assert [row.split(",")[2] for row in rows] == ["-5"]
-    # sensing_subchannel_distortion once rounded above var_eta here, making
+    # the sensing MMSE formula once rounded above var_eta here, making
     # a source eigenvalue negative (exit 3)
     assert main(["point", "--n-tx", "6", "--m-s", "1", "--m-c", "4",
                  "--n-symbols", "24", "--var-eta", "0.562711567088472",
@@ -486,6 +487,22 @@ def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
         "dead link (all channel gains zero)",
         "flagged records: 1"]
 
+    # a solver error inside a point exits 3 and names the point
+    def boom(*args):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(experiment, "optimize_separated", boom)
+    assert main(["point", "--seed", "4", "--snr-c-db", "5"]) == 3
+    assert capsys.readouterr().err == (
+        "numeric failure: point failed (seed=4, snr_c_db=5.0): boom\n")
+    if multiprocessing.get_start_method() == "fork":
+        # forked workers inherit the patch
+        assert main(["sweep", "--jobs", "2", "--seeds", "0,1,2",
+                     "--snr-c-db-list", "0,10",
+                     "--output", str(tmp_path / "g.csv")]) == 3
+        assert capsys.readouterr().err == (
+            "numeric failure: point failed (seed=0, snr_c_db=0.0): boom\n")
+
 
 def test_extreme_budget_command_lines(capsys):
     # the dual search once overflowed from p_total 1e160 on, and the
@@ -504,7 +521,15 @@ def test_extreme_budget_command_lines(capsys):
                  ["--n-tx", "1", "--n-symbols", "1", "--m-c", "1",
                   "--snr-c-db", "-1000", "--p-total", "1.7e208"]):
         assert main(["point", "--seed", "0"] + argv) == 0, argv
+    # the optimum p_s is about 2e-173, so the bisection halves its bracket
+    # far into the floats near 0, within its bound of 2 + 1,074 evaluations
     capsys.readouterr()
+    assert main(["point", "--seed", "32", "--snr-c-db=-1000", "--snr-s-db=1000",
+                 "--n-tx", "3", "--m-s", "6", "--m-c", "6", "--n-symbols", "10",
+                 "--var-eta=7.128686788624699e+245", "--scheme", "separated"]) == 0
+    row = dict(zip(CSV_COLUMNS, capsys.readouterr().out.splitlines()[1].split(",")))
+    assert float(row["p_s"]) < 1e-170
+    assert 66 < int(row["iterations"]) <= 2 + 1074
 
 
 def test_cli_module_entry(tmp_path):

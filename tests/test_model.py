@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 from cas import DistortionReport, PowerAllocation, SystemConfig
 from cas.experiment import ConfigError, config_from_mapping
 from cas.model import (assemble_report, capacity_eigform, noise_var_from_snr,
-                       sensing_distortion, sensing_subchannel_distortion,
-                       source_eigenvalue)
+                       sensing_distortion, source_eigenvalue, subchannel_mmse)
 from cas.waterfilling import uniform_allocation
 from conftest import reference_system
 
@@ -71,25 +70,25 @@ def test_noise_var_from_snr_reference_points():
 
 
 def test_subchannel_distortion_examples(cfg10):
-    assert sensing_subchannel_distortion(0.0, cfg10) == cfg10.var_eta
+    assert subchannel_mmse(0.0, cfg10) == cfg10.var_eta
     # var_s=1, T=100, var_eta=0.1: f(0.1) = 0.1/(1 + 10*0.1) = 0.05
-    assert sensing_subchannel_distortion(0.1, cfg10) == pytest.approx(0.05, rel=1e-12)
-    assert sensing_subchannel_distortion(1e12, cfg10) < 1e-12
-    assert sensing_subchannel_distortion(np.inf, cfg10) == 0.0
-    with pytest.raises(ValueError):
-        sensing_subchannel_distortion(-1e-9, cfg10)
+    assert subchannel_mmse(0.1, cfg10) == pytest.approx(0.05, rel=1e-12)
+    assert subchannel_mmse(1e12, cfg10) < 1e-12
+    assert subchannel_mmse(np.inf, cfg10) == 0.0
 
 
 def test_source_eigenvalue_examples(cfg10):
     assert source_eigenvalue(0.0, cfg10) == 0.0
     assert source_eigenvalue(0.1, cfg10) == pytest.approx(0.05, rel=1e-12)
     assert source_eigenvalue(np.inf, cfg10) == cfg10.var_eta
+    with pytest.raises(ValueError, match="sensing eigenvalue power must be nonnegative"):
+        source_eigenvalue(-1e-9, cfg10)
 
 
 @given(lam=lam_st)
 def test_estimate_plus_error_is_prior_variance(lam):
     cfg = reference_system()
-    f = sensing_subchannel_distortion(lam, cfg)
+    f = subchannel_mmse(lam, cfg)
     g = source_eigenvalue(lam, cfg)
     assert f + g == cfg.var_eta
 
@@ -98,8 +97,7 @@ def test_estimate_plus_error_is_prior_variance(lam):
 def test_subchannel_distortion_monotone(lam1, lam2):
     cfg = reference_system()
     lo, hi = sorted((lam1, lam2))
-    assert (sensing_subchannel_distortion(hi, cfg)
-            <= sensing_subchannel_distortion(lo, cfg))
+    assert subchannel_mmse(hi, cfg) <= subchannel_mmse(lo, cfg)
     assert source_eigenvalue(hi, cfg) >= source_eigenvalue(lo, cfg)
 
 
@@ -107,9 +105,8 @@ def test_subchannel_distortion_monotone(lam1, lam2):
 def test_subchannel_distortion_convex(lam1, lam2):
     cfg = reference_system()
     mid = 0.5 * (lam1 + lam2)
-    chord = 0.5 * (sensing_subchannel_distortion(lam1, cfg)
-                   + sensing_subchannel_distortion(lam2, cfg))
-    assert sensing_subchannel_distortion(mid, cfg) <= chord + 1e-15
+    chord = 0.5 * (subchannel_mmse(lam1, cfg) + subchannel_mmse(lam2, cfg))
+    assert subchannel_mmse(mid, cfg) <= chord + 1e-15
 
 
 def test_sensing_distortion_examples(cfg10):
@@ -149,26 +146,22 @@ def test_capacity_eigform_concave_in_scale():
 
 
 def test_assemble_report(cfg10):
-    eigs = np.full(10, 0.05)
-    rep = assemble_report(2.5, 1.25, 10.0, 0.025, eigs)
+    rep = assemble_report(2.5, 1.25, 10.0, 0.025)
     assert rep.d_sc == rep.d_s + rep.d_c
     assert rep.d_sc == 3.75
     assert rep.capacity == 10.0
     assert rep.xi == 0.025
     # ideal link sentinel
-    rep_inf = assemble_report(2.5, 0.0, math.inf, 0.0, eigs)
+    rep_inf = assemble_report(2.5, 0.0, math.inf, 0.0)
     assert rep_inf.d_sc == 2.5 and math.isinf(rep_inf.capacity)
     with pytest.raises(ValueError):
-        assemble_report(-0.1, 1.0, 1.0, 0.0, eigs)
+        assemble_report(-0.1, 1.0, 1.0, 0.0)
     with pytest.raises(ValueError):
-        assemble_report(0.1, -1.0, 1.0, 0.0, eigs)
+        assemble_report(0.1, -1.0, 1.0, 0.0)
     with pytest.raises(ValueError):
-        assemble_report(0.1, 1.0, -1.0, 0.0, eigs)
-    with pytest.raises(ValueError):
-        assemble_report(0.1, 1.0, 1.0, 0.0, -eigs)
+        assemble_report(0.1, 1.0, -1.0, 0.0)
 
 
 def test_report_identity_enforced():
     with pytest.raises(ValueError):
-        DistortionReport(d_s=1.0, d_c=1.0, d_sc=2.0000001, capacity=0.0,
-                         xi=0.0, source_eigs=np.zeros(2))
+        DistortionReport(d_s=1.0, d_c=1.0, d_sc=2.0000001, capacity=0.0, xi=0.0)
